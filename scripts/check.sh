@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local check: configure, build (warnings are errors), test, run every
-# benchmark harness once, then rebuild the kernel-critical tests under
-# ASan/UBSan and run them — the event core does placement-new/launder tricks
-# that only the sanitizers can vouch for. Usage: scripts/check.sh [build-dir]
+# benchmark harness once, build and test perfbench, then rebuild the
+# kernel-critical tests under ASan/UBSan and run them — the event core does
+# placement-new/launder tricks that only the sanitizers can vouch for.
+# Usage: scripts/check.sh [build-dir]
 set -euo pipefail
 BUILD="${1:-build-check}"
 cmake -B "$BUILD" -G Ninja -DDLAJA_WERROR=ON
@@ -13,6 +14,14 @@ for bench in "$BUILD"/bench/bench_*; do
   echo "==== $bench"
   "$bench"
 done
+
+# perfbench (the BENCHMARK.json harness) is its own CMake project compiled
+# against the simulator's headers; the tier-1 build never compiles it, so an
+# API change that breaks it only shows here.
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build --target perfbench_dlaja perfbench_tests
+.bench_build/perfbench_tests
+python3 -m unittest discover -s perfbench/tests
 
 # Kernel-critical and flow-model tests under both sanitizer presets: the
 # event core does placement-new/launder tricks and the flow network recycles
@@ -32,7 +41,7 @@ done
 # memory), which changes layout enough to surface different misuses.
 SAN_TESTS=(test_simulator test_sim_alloc test_stress
            test_flow test_flow_properties test_flow_alloc test_obs test_fault
-           test_scale test_shard test_telemetry test_sched_spec test_federation)
+           test_scale test_telemetry test_sched_spec test_federation)
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 for PRESET in asan ubsan; do
@@ -43,21 +52,17 @@ for PRESET in asan ubsan; do
     "build-$PRESET/tests/$t"
   done
   # A short fuzz sweep under the sanitizer: random scenarios reach engine
-  # paths (fault x shard x open-arrival combinations) no fixed test pins.
+  # paths (fault x federation x open-arrival combinations) no fixed test pins.
   # Repro files from a failure land inside the build tree, not examples/.
   "build-$PRESET/tools/dlaja_fuzz" --seed 20240808 --count 10 \
     --out-dir "build-$PRESET"
 done
 
-# The sharded kernel runs shards on real threads; TSan is the only sanitizer
-# that can vouch for the window-barrier protocol (shard sims run in parallel,
-# cross-shard traffic parks in per-shard outboxes drained at barriers).
-# test_thread_pool exercises the pool itself, test_shard the full engine,
-# test_scale the fan-out policies (the cached goldens run under --shards 4),
-# test_telemetry the per-shard samplers confirmed at window barriers.
-# test_federation rides along for its 4-shard federated golden: N scheduler
-# instances sharing one broker while shard sims run on real threads.
-TSAN_TESTS=(test_thread_pool test_shard test_scale test_telemetry test_federation)
+# Each run is single-threaded; the only threads are run_matrix's, which fan
+# whole cells out across the ThreadPool. test_thread_pool exercises the pool
+# itself; test_experiment, test_integration and test_stress run matrices of
+# cells concurrently (shared read-only state: scheduler specs, presets).
+TSAN_TESTS=(test_thread_pool test_experiment test_integration test_stress)
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 echo "==== sanitizer pass (tsan)"
 cmake --preset tsan

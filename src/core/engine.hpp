@@ -56,22 +56,15 @@ struct EngineConfig {
   bool shared_bandwidth = false;
   MbPerSec origin_capacity_mbps = 500.0;
 
-  /// Fault-tolerance extension (paper §5 future work: "redistributing the
-  /// remaining jobs if a worker becomes unavailable"). When a worker is
-  /// failed via fail_worker_at(), every incomplete job last assigned to it
-  /// is resubmitted to the scheduler as a fresh copy. At-least-once: a
-  /// completion report already in flight when the worker dies can make a
-  /// job execute twice. Off by default — the paper has no such policy.
-  bool reassign_on_failure = false;
-
   /// Deterministic fault injection. An empty plan (the default) injects
   /// nothing and leaves the run bit-identical to a fault-free build.
   /// A non-empty plan auto-enables the job lifecycle below.
   fault::FaultPlan faults;
 
-  /// Job lifecycle (leases, bounded retries, dead-lettering). Disabled by
-  /// default; can be enabled without a fault plan (e.g. with manual
-  /// fail_worker_at schedules).
+  /// Job lifecycle (leases, bounded retries, dead-lettering) — the one
+  /// recovery path (paper §5 future work: "redistributing the remaining jobs
+  /// if a worker becomes unavailable"). Disabled by default; can be enabled
+  /// without a fault plan (e.g. with manual fail_worker_at schedules).
   LifecycleConfig lifecycle;
 
   /// Same-tick delivery coalescing in the broker: consecutive deliveries to
@@ -92,15 +85,9 @@ struct EngineConfig {
   /// sampling fires no events and draws no RNG.
   obs::TelemetryConfig telemetry;
 
-  /// Sharded execution: partition the fleet across this many worker shards,
-  /// each with its own event queue, flow network and metrics buffers, run on
-  /// ThreadPool threads and synchronized through the broker with
-  /// conservative time windows (lookahead = the minimum control-message
-  /// latency). 1 = the classic single-threaded kernel, bit-identical to all
-  /// prior releases. Requires a scheduler whose supports_sharding() is true
-  /// and shards <= fleet size. N-shard runs are deterministic per (seed,
-  /// shard count), but different shard counts draw message delays from
-  /// different streams, so their jittered runs differ from 1-shard runs.
+  /// Kept only because perfbench (perfbench/cpp/harness.cpp) copies
+  /// ExperimentSpec::shards into it. A run is one thread; any value other
+  /// than 1 makes the Engine constructor throw std::invalid_argument.
   std::size_t shards = 1;
 };
 
@@ -145,9 +132,9 @@ class Engine {
   /// time — only a single staged arrival is ever held, so a run can push
   /// millions of arrivals without materializing the trace. Records
   /// per-completion sojourn times into the "job.sojourn_s" histogram and
-  /// (single-shard runs) retires completed job records as it goes, keeping
-  /// memory O(live jobs). With telemetry on it adds job.sojourn_p50/p99/
-  /// p999_s and master.throughput_jps gauges for steady-state analysis.
+  /// retires completed job records as it goes, keeping memory O(live
+  /// jobs). With telemetry on it adds job.sojourn_p50/p99/p999_s and
+  /// master.throughput_jps gauges for steady-state analysis.
   /// Callable once; mutually exclusive with run().
   metrics::RunReport run_stream(JobSource source);
 
@@ -161,7 +148,6 @@ class Engine {
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers_.size(); }
   [[nodiscard]] std::uint64_t jobs_submitted() const noexcept { return submitted_; }
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return completed_; }
-  [[nodiscard]] std::uint64_t jobs_reassigned() const noexcept { return reassigned_; }
   [[nodiscard]] std::uint64_t jobs_retried() const noexcept {
     return lifecycle_ ? lifecycle_->stats().retries : 0;
   }
@@ -173,61 +159,24 @@ class Engine {
   [[nodiscard]] std::uint64_t scheduler_crashes() const noexcept { return sched_crashes_; }
   /// Null when the lifecycle is disabled (fault-free runs).
   [[nodiscard]] const JobLifecycle* lifecycle() const noexcept { return lifecycle_.get(); }
-  /// Number of worker shards (1 = single-threaded kernel).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.empty() ? 1 : shards_.size();
-  }
-  /// Conservative window lookahead in ticks (0 in single-shard runs).
-  [[nodiscard]] Tick lookahead() const noexcept { return lookahead_; }
 
   /// Telemetry probe registry. Tests may register extra gauges/invariants
   /// between construction and run(); empty when telemetry is off.
   [[nodiscard]] obs::ProbeRegistry& probes() noexcept { return probes_; }
 
-  /// Merged telemetry series, populated by run() when telemetry is on
+  /// Telemetry series, populated by run() when telemetry is on
   /// (nullopt otherwise, and before run()).
   [[nodiscard]] const std::optional<obs::TelemetryTable>& telemetry() const noexcept {
     return telemetry_;
   }
 
  private:
-  /// One worker shard: its own event queue, metrics buffers, flow network
-  /// and (traced runs) trace buffer. Workers w with w % N == shard index
-  /// live here; the master plus broker bookkeeping stay on the engine's own
-  /// simulator (the "control shard").
-  struct Shard {
-    sim::Simulator sim;
-    metrics::MetricsCollector metrics;
-    std::unique_ptr<net::FlowNetwork> flows;  ///< shared-bandwidth mode only
-    std::unique_ptr<obs::Tracer> tracer;      ///< traced sharded runs only
-    explicit Shard(std::size_t workers) : metrics(workers) {}
-  };
-
-  /// A fault application pinned to a tick, applied at window barriers in
-  /// sharded runs (the injector's event-driven path would mutate worker
-  /// state mid-window).
-  struct TimedFault {
-    enum class Kind : std::uint8_t { kCrash, kRecover, kDegrade, kSchedCrash, kSchedRecover };
-    Tick at = 0;
-    Kind kind = Kind::kCrash;
-    cluster::WorkerIndex worker = 0;  ///< scheduler instance for kSched* kinds
-    double factor = 1.0;  ///< degrade multiplier (1.0 restores)
-  };
-
-  [[nodiscard]] bool sharded() const noexcept { return !shards_.empty(); }
-
-  /// The conservative-window loop: run every shard to the window end in
-  /// parallel, then (at the barrier) drain cross-shard messages, flush
-  /// lifecycle probes and apply due timeline faults.
-  void run_windows();
-
-  void apply_timed_fault(const TimedFault& fault);
   void master_handle_completion(const cluster::CompletionReport& report,
                                 const workflow::Job& job);
   void submit_job(workflow::Job job);
 
-  /// Takes worker `w` down now: drains it, detaches its node, voids leases
-  /// (lifecycle) or reassigns its jobs (legacy reassign_on_failure).
+  /// Takes worker `w` down now: drains it, detaches its node and (with the
+  /// lifecycle on) voids its leases so the jobs are retried elsewhere.
   void apply_crash(cluster::WorkerIndex w);
 
   /// Brings worker `w` back now (inverse of apply_crash).
@@ -240,23 +189,23 @@ class Engine {
 
   /// Registers the engine-owned gauges and invariants (called after the
   /// scheduler attached, so scheduler probes come first in no particular
-  /// order — series are sorted by name at merge time anyway).
+  /// order — series are sorted by name in the table anyway).
   void register_probes();
 
-  /// Throws std::runtime_error for the first watchdog violation across the
-  /// samplers, after dumping the offending sampler's series tail to stderr.
+  /// Throws std::runtime_error for the sampler's watchdog violation, after
+  /// dumping its series tail to stderr.
   void check_watchdog();
 
-  /// Single-shard run loop with telemetry: slices sim_.run(horizon) at the
-  /// sampling grid. Produces exactly the canonical tick set.
+  /// Run loop with telemetry: slices sim_.run(horizon) at the sampling
+  /// grid. Produces exactly the canonical tick set.
   void run_sampled();
 
   /// Shared run() / run_stream() prologue: the once-only guard, speed
   /// probing and the initial idle notifications.
   void begin_run();
 
-  /// Shared epilogue: binds samplers, executes the run loop (single-shard
-  /// or windowed), finalizes telemetry and derives the report.
+  /// Shared epilogue: binds the sampler, executes the run loop, finalizes
+  /// telemetry and derives the report.
   metrics::RunReport finish_run();
 
   /// Streaming arrivals: pulls one job from stream_source_, stages it in
@@ -265,8 +214,7 @@ class Engine {
   /// future arrival is pending at any time.
   void schedule_next_arrival();
 
-  /// Finalizes every sampler to the canonical end tick and merges them into
-  /// telemetry_.
+  /// Finalizes the sampler to the canonical end tick and builds telemetry_.
   void finish_telemetry();
 
   EngineConfig config_;
@@ -298,28 +246,16 @@ class Engine {
   workflow::JobId next_job_id_ = 1;
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t reassigned_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t sched_crashes_ = 0;
   /// Both null in fault-free runs: nothing is constructed, armed or drawn.
   std::unique_ptr<JobLifecycle> lifecycle_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  /// Sharded execution state; all empty/zero in single-shard runs.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::uint32_t> worker_shard_;  ///< WorkerIndex -> shards_ index
-  Tick lookahead_ = 0;
-  std::vector<TimedFault> fault_timeline_;  ///< sorted by run_windows()
-  /// Latest barrier-applied fault tick: counts as run progress for the
-  /// telemetry end-of-series computation (single-shard runs execute faults
-  /// as ordinary events, so last_fired_at() already covers them there).
-  Tick last_timed_fault_ = 0;
   msg::MailboxId completions_box_ = 0;
-  /// Telemetry state; all empty when config_.telemetry.interval == 0.
-  /// samplers_[0] covers the control shard, samplers_[s + 1] worker shard s
-  /// (single-shard runs have just samplers_[0]).
+  /// Telemetry state; empty and unbound when config_.telemetry.interval == 0.
   obs::ProbeRegistry probes_;
-  std::vector<obs::TelemetrySampler> samplers_;
+  obs::TelemetrySampler sampler_;
   std::optional<obs::TelemetryTable> telemetry_;
   /// Per-worker backlog memo shared by the aggregate and per-worker backlog
   /// gauges: one FIFO-queue replay per worker per sampled tick (sampler-local
@@ -330,9 +266,6 @@ class Engine {
     double value = 0.0;
   };
   std::vector<BacklogMemo> backlog_memos_;
-  /// Worker indices grouped by telemetry shard tag; the fleet-aggregate
-  /// gauges each walk one group (stable storage the closures point into).
-  std::vector<std::vector<std::size_t>> worker_groups_;
   bool ran_ = false;
   std::uint16_t trace_job_ = 0;      ///< "job": arrival -> completion span
   std::uint16_t trace_crash_ = 0;    ///< "crash" instants (fault component)

@@ -119,11 +119,10 @@ std::vector<metrics::RunReport> run_matrix(std::span<const ExperimentSpec> specs
   }
   std::vector<std::vector<metrics::RunReport>> per_cell(specs.size());
   ThreadPool pool(threads);
-  // Chunk size 1: cells are whole simulations with wildly different
+  // Per-index dispatch: cells are whole simulations with wildly different
   // runtimes, so dynamic one-at-a-time dispatch beats any static carve-up.
-  pool.parallel_for(specs.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) per_cell[i] = run_experiment(specs[i]);
-  });
+  pool.parallel_for(specs.size(),
+                    [&](std::size_t i) { per_cell[i] = run_experiment(specs[i]); });
   std::size_t total = 0;
   for (const auto& cell : per_cell) total += cell.size();
   std::vector<metrics::RunReport> all;

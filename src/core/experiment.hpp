@@ -95,10 +95,9 @@ struct ExperimentSpec {
   /// the kernel event counts in the CSV stats columns, so off by default).
   bool coalesce_deliveries = false;
 
-  /// Worker shards for the engine's parallel kernel (1 = the classic
-  /// single-threaded kernel, bit-identical to prior releases). Requires a
-  /// sharding-capable scheduler and shards <= workers; validate() enforces
-  /// both up front.
+  /// Kept only because perfbench (perfbench/cpp/harness.cpp) reads it. A run
+  /// is one thread: validate() reports any value other than 1, and the
+  /// Engine rejects one.
   std::size_t shards = 1;
 
   /// In-run telemetry (scenario key "telemetry"): gauge-sampling cadence in
@@ -112,9 +111,7 @@ struct ExperimentSpec {
   bool telemetry_watchdog = true;
 
   /// Zeroes all latency jitter (fleet links and the master link). Combined
-  /// with noise "none" the run depends on no per-message random draw, so 1-,
-  /// 2- and N-shard runs of the same cell produce identical reports — the CI
-  /// shard-smoke diff relies on exactly this.
+  /// with noise "none" the run depends on no per-message random draw.
   bool flat_control_plane = false;
 
   /// Resolved names for reports.

@@ -47,35 +47,10 @@ void JobLifecycle::assigned(workflow::JobId id, WorkerIndex w, double estimate_s
 }
 
 void JobLifecycle::arm_lease(workflow::JobId id, Entry& entry) {
-  auto fire = [this, id] { lease_fired(id); };
+  auto fire = [this, id] { probe_lease(id); };
   static_assert(sim::InlineAction::fits_inline<decltype(fire)>());
   entry.lease = sim_.schedule_after(entry.lease_ticks, std::move(fire));
   entry.lease_armed = true;
-}
-
-void JobLifecycle::lease_fired(workflow::JobId id) {
-  if (barrier_probes_) {
-    // Sharded: the probe reads worker state owned by another shard, so it
-    // waits for the next window barrier.
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return;  // completed in the same tick
-    due_probes_.push_back(DueProbe{id, it->second.lease});
-    return;
-  }
-  probe_lease(id);
-}
-
-void JobLifecycle::run_barrier_probes() {
-  // probe_lease may append new expiries only via freshly armed leases,
-  // which fire later — never synchronously — so plain iteration is safe.
-  for (std::size_t i = 0; i < due_probes_.size(); ++i) {
-    const DueProbe& due = due_probes_[i];
-    const auto it = entries_.find(due.id);
-    if (it == entries_.end()) continue;              // completed before the barrier
-    if (!(it->second.lease == due.lease)) continue;  // re-armed: newer lease owns it
-    probe_lease(due.id);
-  }
-  due_probes_.clear();
 }
 
 void JobLifecycle::probe_lease(workflow::JobId id) {

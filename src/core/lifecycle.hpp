@@ -128,15 +128,6 @@ class JobLifecycle {
     return count;
   }
 
-  /// Sharded runs: an expired lease must not probe the worker immediately —
-  /// worker_holds() reads worker state another shard may be mutating.
-  /// With barrier probes on, expiries queue up and the engine flushes them
-  /// with run_barrier_probes() at the next window barrier, when no shard
-  /// is running.
-  void set_barrier_probes(bool on) noexcept { barrier_probes_ = on; }
-  void run_barrier_probes();
-  [[nodiscard]] bool barrier_probes_pending() const noexcept { return !due_probes_.empty(); }
-
  private:
   struct Entry {
     workflow::Job job;
@@ -155,7 +146,6 @@ class JobLifecycle {
   };
 
   void arm_lease(workflow::JobId id, Entry& entry);
-  void lease_fired(workflow::JobId id);
   void probe_lease(workflow::JobId id);
   void void_attempt(workflow::JobId id);
   void retry_or_dead_letter(workflow::Job job, std::uint32_t attempts,
@@ -177,15 +167,6 @@ class JobLifecycle {
   std::uint16_t trace_void_ = 0;        ///< "attempt_void" instants
   std::uint16_t trace_dead_letter_ = 0; ///< "dead_letter" instants
   bool trace_names_ready_ = false;
-  bool barrier_probes_ = false;
-  /// Expiries awaiting the barrier. The lease id at expiry time is kept so
-  /// a probe is skipped when a duplicate assignment re-armed the lease in
-  /// the meantime (the newer lease owns the entry).
-  struct DueProbe {
-    workflow::JobId id = 0;
-    sim::EventId lease{};
-  };
-  std::vector<DueProbe> due_probes_;
 };
 
 }  // namespace dlaja::core

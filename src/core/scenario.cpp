@@ -14,7 +14,7 @@ namespace {
 
 constexpr const char* kValidKeys =
     "name, scheduler, workload, jobs, fleet, workers, iterations, carry_cache, "
-    "seed, noise, estimation, faults, lifecycle, coalesce_deliveries, shards, "
+    "seed, noise, estimation, faults, lifecycle, coalesce_deliveries, "
     "flat_control_plane, telemetry, arrivals";
 
 [[noreturn]] void key_error(const std::string& key, const std::string& what) {
@@ -251,18 +251,9 @@ std::vector<ValidationIssue> ExperimentSpec::validate() const {
   if (telemetry_interval_s > 0.0 && telemetry_capacity < 2) {
     issues.push_back({"telemetry", "capacity must be >= 2 (ring retention needs room)"});
   }
-  if (shards == 0) {
-    issues.push_back({"shards", "need at least one shard"});
-  } else if (fleet_size > 0 && shards > fleet_size) {
-    issues.push_back({"shards", "more shards (" + std::to_string(shards) +
-                                    ") than workers (" + std::to_string(fleet_size) + ")"});
-  }
-  if (shards > 1 && !make_scheduler && scheduler.validate(fleet_size).empty()) {
-    const std::unique_ptr<sched::Scheduler> probe = scheduler.build(seed);
-    if (!probe->supports_sharding()) {
-      issues.push_back({"shards", "scheduler '" + probe->name() +
-                                      "' does not support sharded execution"});
-    }
+  if (shards != 1) {
+    issues.push_back({"shards", "must be 1 (a run executes on one thread), got " +
+                                    std::to_string(shards)});
   }
   return issues;
 }
@@ -308,8 +299,6 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& doc) {
       spec.lifecycle = parse_lifecycle(value);
     } else if (key == "coalesce_deliveries") {
       spec.coalesce_deliveries = need_bool(value, key);
-    } else if (key == "shards") {
-      spec.shards = static_cast<std::size_t>(need_count(value, key));
     } else if (key == "flat_control_plane") {
       spec.flat_control_plane = need_bool(value, key);
     } else if (key == "telemetry") {
@@ -377,7 +366,6 @@ json::Value ExperimentSpec::to_json() const {
     }
   }
   if (coalesce_deliveries) obj["coalesce_deliveries"] = true;
-  if (shards != 1) obj["shards"] = static_cast<std::uint64_t>(shards);
   if (flat_control_plane) obj["flat_control_plane"] = true;
   if (telemetry_interval_s > 0.0) {
     json::Object tel;

@@ -148,31 +148,6 @@ void fp_u64(std::string& out, std::uint64_t value) {
   return std::nullopt;
 }
 
-/// True when the ShardFlat equivalence theorem applies: the plain bidding
-/// scheduler on a flat control plane with no noise and no faults produces
-/// shard-count-independent reports (proven by test_shard; everything else
-/// is out of contract).
-[[nodiscard]] bool shard_equivalence_eligible(const core::ExperimentSpec& spec) {
-  return spec.scheduler == "bidding" && spec.flat_control_plane &&
-         spec.noise.kind == net::NoiseConfig::Kind::kNone && spec.faults.empty() &&
-         !spec.open_arrivals && !spec.custom_fleet && spec.worker_count >= 2;
-}
-
-/// The shard-count-independent cells of a report (the exact set the CI
-/// shard-smoke diff pins).
-[[nodiscard]] std::string shard_cells(const metrics::RunReport& report) {
-  std::string out;
-  fp_double(out, report.exec_time_s);
-  fp_double(out, report.avg_turnaround_s);
-  fp_double(out, report.avg_alloc_latency_s);
-  fp_double(out, report.data_load_mb);
-  fp_u64(out, report.cache_misses);
-  fp_u64(out, report.jobs_completed);
-  fp_u64(out, report.messages_delivered);
-  fp_double(out, report.fairness_index);
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -191,25 +166,12 @@ core::ExperimentSpec random_spec(std::uint64_t seed, std::uint64_t index) {
       cluster::FleetPreset::kOneSlow, cluster::FleetPreset::kFastSlow};
   spec.fleet = kFleets[rng.uniform_int(0, 3)];
 
-  // Every 7th scenario is a guaranteed shard-equivalence cell (plain
-  // bidding, flat control plane, no noise, no faults, shards > 1) so a
-  // sweep of any reasonable size exercises the shards=1-vs-N diff instead
-  // of leaving it to the ~3% chance of rolling that combination.
-  const bool equivalence_cell = index % 7 == 3;
-
   constexpr const char* kSchedulers[] = {
       "bidding",          "bidding:fanout=probe:2", "bidding:fanout=cached:2",
       "baseline",         "baseline:declines=1",    "spark-like",
       "round-robin",      "least-queue",            "random"};
-  spec.scheduler = equivalence_cell ? "bidding" : kSchedulers[rng.uniform_int(0, 8)];
-
-  // Shards: the bidding family (without learned correction) is the only
-  // sharding-capable scheduler; validate() would reject anything else.
+  spec.scheduler = kSchedulers[rng.uniform_int(0, 8)];
   const bool bidding_family = spec.scheduler.type() == "bidding";
-  if (equivalence_cell || (bidding_family && rng.bernoulli(0.4))) {
-    const auto max_shards = static_cast<std::int64_t>(std::min<std::size_t>(4, spec.worker_count));
-    spec.shards = static_cast<std::size_t>(rng.uniform_int(2, std::max<std::int64_t>(2, max_shards)));
-  }
 
   const std::vector<workload::JobConfig> configs = workload::all_job_configs();
   spec.job_config = configs[static_cast<std::size_t>(
@@ -220,7 +182,7 @@ core::ExperimentSpec random_spec(std::uint64_t seed, std::uint64_t index) {
 
   // ~1 in 5 scenarios streams an open arrival process instead of replaying
   // the closed batch (the job bodies above still shape sizes/weights).
-  if (!equivalence_cell && rng.bernoulli(0.2)) {
+  if (rng.bernoulli(0.2)) {
     workload::OpenArrivalSpec arrivals;
     arrivals.process = rng.bernoulli(0.5) ? workload::OpenArrivalSpec::Process::kMmpp
                                           : workload::OpenArrivalSpec::Process::kPoisson;
@@ -244,75 +206,67 @@ core::ExperimentSpec random_spec(std::uint64_t seed, std::uint64_t index) {
   spec.carry_cache = rng.bernoulli(0.5);
   spec.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1'000'000'000));
 
-  if (equivalence_cell) {
-    spec.noise = net::NoiseConfig::none();
-    spec.flat_control_plane = true;
-  } else {
-    switch (rng.uniform_int(0, 3)) {
-      case 0: spec.noise = net::NoiseConfig::none(); break;
-      case 1: spec.noise = net::NoiseConfig::uniform(rng.uniform(0.7, 0.9), rng.uniform(1.1, 1.3)); break;
-      case 2: spec.noise = net::NoiseConfig::lognormal(rng.uniform(0.1, 0.4)); break;
-      default: spec.noise = net::NoiseConfig::throttle(rng.uniform(0.05, 0.2), rng.uniform(0.2, 0.5)); break;
-    }
-    spec.flat_control_plane = rng.bernoulli(0.35);
+  switch (rng.uniform_int(0, 3)) {
+    case 0: spec.noise = net::NoiseConfig::none(); break;
+    case 1: spec.noise = net::NoiseConfig::uniform(rng.uniform(0.7, 0.9), rng.uniform(1.1, 1.3)); break;
+    case 2: spec.noise = net::NoiseConfig::lognormal(rng.uniform(0.1, 0.4)); break;
+    default: spec.noise = net::NoiseConfig::throttle(rng.uniform(0.05, 0.2), rng.uniform(0.2, 0.5)); break;
+  }
+  spec.flat_control_plane = rng.bernoulli(0.35);
 
-    // Fault plans only on the schedulers whose fault handling the suite
-    // pins (bidding/baseline/spark-like conserve jobs under the lifecycle).
-    const bool fault_capable = bidding_family || spec.scheduler.type() == "baseline" ||
-                               spec.scheduler.type() == "spark-like";
+  // Fault plans only on the schedulers whose fault handling the suite
+  // pins (bidding/baseline/spark-like conserve jobs under the lifecycle).
+  const bool fault_capable = bidding_family || spec.scheduler.type() == "baseline" ||
+                             spec.scheduler.type() == "spark-like";
 
-    // Federated cells: wrap the drawn policy in 1-4 partitions, sometimes
-    // with spill enabled, so partition routing, digests, and the
-    // partitions=1 identity (checked below in check_spec) all get fuzzed.
-    if (spec.worker_count >= 2 && rng.bernoulli(0.3)) {
-      sched::FederationSpec fed;
-      // Every partition keeps >= 2 workers so the drawn probe/cached
-      // fan-outs (k <= 2) always fit the smallest partition.
-      const auto max_parts = static_cast<std::int64_t>(
-          std::max<std::size_t>(1, std::min<std::size_t>(4, spec.worker_count / 2)));
-      fed.partitions = static_cast<std::uint32_t>(rng.uniform_int(1, max_parts));
-      fed.digest_interval_s = static_cast<double>(rng.uniform_int(1, 5));
-      if (fed.partitions > 1) {
-        if (rng.bernoulli(0.5)) fed.spill_threshold = rng.uniform(1.0, 3.0);
-        if (rng.bernoulli(0.3)) {
-          fed.successor = static_cast<std::int32_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(fed.partitions) - 1));
-        }
+  // Federated cells: wrap the drawn policy in 1-4 partitions, sometimes
+  // with spill enabled, so partition routing, digests, and the
+  // partitions=1 identity (checked below in check_spec) all get fuzzed.
+  if (spec.worker_count >= 2 && rng.bernoulli(0.3)) {
+    sched::FederationSpec fed;
+    // Every partition keeps >= 2 workers so the drawn probe/cached
+    // fan-outs (k <= 2) always fit the smallest partition.
+    const auto max_parts = static_cast<std::int64_t>(
+        std::max<std::size_t>(1, std::min<std::size_t>(4, spec.worker_count / 2)));
+    fed.partitions = static_cast<std::uint32_t>(rng.uniform_int(1, max_parts));
+    fed.digest_interval_s = static_cast<double>(rng.uniform_int(1, 5));
+    if (fed.partitions > 1) {
+      if (rng.bernoulli(0.5)) fed.spill_threshold = rng.uniform(1.0, 3.0);
+      if (rng.bernoulli(0.3)) {
+        fed.successor = static_cast<std::int32_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(fed.partitions) - 1));
       }
-      spec.scheduler.federation = fed;
-      // Federation composes with shards only when every inner policy
-      // shards; keep the fuzz surface orthogonal and drop shards here.
-      spec.shards = 1;
     }
-    const sched::FederationSpec& fed = spec.scheduler.federation;
+    spec.scheduler.federation = fed;
+  }
+  const sched::FederationSpec& fed = spec.scheduler.federation;
 
-    if (fault_capable && rng.bernoulli(0.35)) {
-      std::string plan =
-          "crash:w=" + std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(spec.worker_count) - 1)) +
-          ",at=" + std::to_string(rng.uniform_int(2, 10)) +
-          ",down=" + std::to_string(rng.uniform_int(5, 20));
-      if (rng.bernoulli(0.5)) {
-        switch (rng.uniform_int(0, 3)) {
-          case 0: plan += ";crashes:p=0.25,window=20,down=10"; break;
-          case 1:
-            plan += ";degrade:w=" +
-                    std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(spec.worker_count) - 1)) +
-                    ",at=3,for=15,x=0.5";
-            break;
-          case 2: plan += ";drop:p=0.01"; break;
-          default: plan += ";dup:p=0.01"; break;
-        }
+  if (fault_capable && rng.bernoulli(0.35)) {
+    std::string plan =
+        "crash:w=" + std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(spec.worker_count) - 1)) +
+        ",at=" + std::to_string(rng.uniform_int(2, 10)) +
+        ",down=" + std::to_string(rng.uniform_int(5, 20));
+    if (rng.bernoulli(0.5)) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0: plan += ";crashes:p=0.25,window=20,down=10"; break;
+        case 1:
+          plan += ";degrade:w=" +
+                  std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(spec.worker_count) - 1)) +
+                  ",at=3,for=15,x=0.5";
+          break;
+        case 2: plan += ";drop:p=0.01"; break;
+        default: plan += ";dup:p=0.01"; break;
       }
-      // Scheduler crashes only exist under federation; draw one against a
-      // random instance so adoption + conservation get fuzzed together.
-      if (fed.active() && rng.bernoulli(0.5)) {
-        plan += ";sched_crash:s=" +
-                std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(fed.partitions) - 1)) +
-                ",at=" + std::to_string(rng.uniform_int(2, 10)) +
-                ",down=" + std::to_string(rng.uniform_int(10, 30));
-      }
-      spec.faults = fault::FaultPlan::parse(plan);
     }
+    // Scheduler crashes only exist under federation; draw one against a
+    // random instance so adoption + conservation get fuzzed together.
+    if (fed.active() && rng.bernoulli(0.5)) {
+      plan += ";sched_crash:s=" +
+              std::to_string(rng.uniform_int(0, static_cast<std::int64_t>(fed.partitions) - 1)) +
+              ",at=" + std::to_string(rng.uniform_int(2, 10)) +
+              ",down=" + std::to_string(rng.uniform_int(10, 30));
+    }
+    spec.faults = fault::FaultPlan::parse(plan);
   }
 
   spec.telemetry_interval_s = static_cast<double>(rng.uniform_int(1, 4));
@@ -409,30 +363,6 @@ std::optional<Violation> check_spec(const core::ExperimentSpec& spec,
     }
   }
 
-  // Shard equivalence: for in-contract specs, shard-count-independent
-  // report cells must match exactly between shards=1 and shards=N.
-  if (options.shard_equivalence && shard_equivalence_eligible(spec)) {
-    core::ExperimentSpec alt = armed;
-    alt.shards = armed.shards == 1 ? 2 : 1;
-    std::vector<metrics::RunReport> sharded;
-    if (auto violation = run_probed(alt, sharded)) {
-      violation->invariant = "shard-equivalence";
-      violation->detail = "shards=" + std::to_string(alt.shards) + " run threw: " + violation->detail;
-      return violation;
-    }
-    if (sharded.size() != reports.size()) {
-      return Violation{"shard-equivalence", "iteration counts differ across shard counts"};
-    }
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      if (shard_cells(reports[i]) != shard_cells(sharded[i])) {
-        return Violation{"shard-equivalence",
-                         "iteration " + std::to_string(i) + ": shard-independent cells differ "
-                         "between shards=" + std::to_string(armed.shards) +
-                         " and shards=" + std::to_string(alt.shards)};
-      }
-    }
-  }
-
   return std::nullopt;
 }
 
@@ -525,13 +455,6 @@ std::optional<core::ExperimentSpec> t_decrement_workers(const core::ExperimentSp
   return c;
 }
 
-std::optional<core::ExperimentSpec> t_one_shard(const core::ExperimentSpec& s) {
-  if (s.shards <= 1) return std::nullopt;
-  core::ExperimentSpec c = s;
-  c.shards = 1;
-  return c;
-}
-
 std::optional<core::ExperimentSpec> t_no_noise(const core::ExperimentSpec& s) {
   if (s.noise.kind == net::NoiseConfig::Kind::kNone) return std::nullopt;
   core::ExperimentSpec c = s;
@@ -583,9 +506,9 @@ std::optional<core::ExperimentSpec> t_shrink_pool(const core::ExperimentSpec& s)
 constexpr Transform kTransforms[] = {
     t_one_iteration,    t_drop_random_crashes, t_drop_explicit_crashes, t_drop_degradations,
     t_drop_message_faults, t_drop_sched_crashes, t_no_federation,       t_halve_jobs,
-    t_halve_workers,    t_one_shard,           t_no_noise,              t_halve_duration,
-    t_halve_rate,       t_plain_poisson,       t_shrink_pool,           t_no_carry,
-    t_decrement_jobs,   t_decrement_workers,
+    t_halve_workers,    t_no_noise,            t_halve_duration,        t_halve_rate,
+    t_plain_poisson,    t_shrink_pool,         t_no_carry,              t_decrement_jobs,
+    t_decrement_workers,
 };
 
 }  // namespace
@@ -604,7 +527,7 @@ core::ExperimentSpec shrink(const core::ExperimentSpec& spec, const Violation& v
       if (checks >= max_checks) break;
       const std::optional<core::ExperimentSpec> candidate = transform(current);
       if (!candidate.has_value()) continue;
-      if (!candidate->validate().empty()) continue;  // e.g. shards > shrunk fleet
+      if (!candidate->validate().empty()) continue;  // e.g. probe k > shrunk fleet
       ++checks;
       const std::optional<Violation> result = check_spec(*candidate, options);
       if (result.has_value() && result->invariant == violation.invariant) {
@@ -638,7 +561,6 @@ namespace {
   out << spec.scheduler.to_config_string() << " x " << spec.workload_name() << " x "
       << spec.fleet_name() << ":"
       << spec.worker_count;
-  if (spec.shards > 1) out << " shards=" << spec.shards;
   if (!spec.faults.empty()) out << " faults[" << spec.faults.describe() << "]";
   if (spec.noise.kind != net::NoiseConfig::Kind::kNone) out << " noise=" << spec.noise.spec();
   return out.str();

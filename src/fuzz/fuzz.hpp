@@ -6,7 +6,7 @@
 // corners of the scenario space. The scenario JSON API makes that space
 // enumerable, the telemetry watchdog makes runs self-checking, and this
 // library closes the loop: generate a seeded random scenario (workload ×
-// fault plan × fleet shape × scheduler config × shard count), run it under
+// fault plan × fleet shape × scheduler config), run it under
 // the conservation / broker-conservation / cache-capacity / bit-determinism
 // invariants, and when something trips, shrink the scenario (halve jobs,
 // drop fault clauses, shrink the fleet, reduce the horizon) to a minimal
@@ -29,7 +29,7 @@ namespace dlaja::fuzz {
 /// One invariant violation found by check_spec().
 struct Violation {
   /// Which invariant tripped: "jobs.conservation", "broker.conservation",
-  /// "cache.capacity", "bit-determinism", "shard-equivalence",
+  /// "cache.capacity", "bit-determinism", "federation-identity",
   /// "spec-invalid", or "runtime-error" for uncategorized throws.
   std::string invariant;
   std::string detail;
@@ -37,15 +37,14 @@ struct Violation {
 
 /// Which (expensive) cross-run invariants to check.
 struct CheckOptions {
-  bool determinism = true;        ///< same seed twice -> bit-identical reports
-  bool shard_equivalence = true;  ///< shards=1 vs N on shard-independent cells
+  bool determinism = true;  ///< same seed twice -> bit-identical reports
 };
 
 /// The i-th scenario of the seeded sweep: a pure function of (seed, index)
 /// sampling the serializable spec space — scheduler config strings, fleet
 /// presets, preset workloads with a job-count override, open arrivals,
-/// fault-plan clause combinations, noise schemes, shard counts. The result
-/// always passes ExperimentSpec::validate().
+/// fault-plan clause combinations, noise schemes. The result always passes
+/// ExperimentSpec::validate().
 [[nodiscard]] core::ExperimentSpec random_spec(std::uint64_t seed, std::uint64_t index);
 
 /// Runs `spec` under the invariants and returns the first violation, or
@@ -54,16 +53,14 @@ struct CheckOptions {
 /// broker.conservation at every sampled tick — and the run-end gates check
 /// lost == 0 plus full completion for closed fault-free cells. With
 /// options.determinism the spec runs twice and the reports' hexfloat
-/// fingerprints must match; with options.shard_equivalence, eligible specs
-/// (plain "bidding", flat control plane, noise none, no faults) also run
-/// at a different shard count and the shard-independent report fields must
-/// be exactly equal.
+/// fingerprints must match; a one-partition federation must also match
+/// the same spec without federation.
 [[nodiscard]] std::optional<Violation> check_spec(const core::ExperimentSpec& spec,
                                                   const CheckOptions& options = {});
 
 /// Greedy delta-debugging shrink: repeatedly applies reductions (iterations
 /// to 1, halve/decrement jobs, drop fault clauses, halve/shrink the fleet,
-/// collapse shards, silence noise, shorten open-arrival horizons), keeping
+/// silence noise, shorten open-arrival horizons), keeping
 /// a candidate only if it still fails with the *same* invariant. Runs at
 /// most `max_checks` candidate checks. Returns the smallest failing spec
 /// found (at worst the input).

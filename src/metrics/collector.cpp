@@ -26,53 +26,6 @@ WorkerRecord& MetricsCollector::worker(std::uint32_t index) {
   return workers_[index];
 }
 
-void MetricsCollector::absorb(const MetricsCollector& other) {
-  if (workers_.size() != other.workers_.size()) {
-    throw std::invalid_argument("MetricsCollector::absorb: worker table size mismatch");
-  }
-  for (const workflow::JobId id : other.order_) {
-    const JobRecord& src = other.jobs_.at(id);
-    JobRecord& dst = job(id);
-    if (src.worker != static_cast<std::uint32_t>(-1)) dst.worker = src.worker;
-    if (src.arrived != kNeverTick) dst.arrived = src.arrived;
-    if (src.contest_opened != kNeverTick) dst.contest_opened = src.contest_opened;
-    if (src.assigned != kNeverTick) dst.assigned = src.assigned;
-    if (src.started != kNeverTick) dst.started = src.started;
-    if (src.finished != kNeverTick) dst.finished = src.finished;
-    if (src.cache_miss) dst.cache_miss = true;
-    dst.downloaded_mb += src.downloaded_mb;
-    if (src.winning_bid_s >= 0.0) dst.winning_bid_s = src.winning_bid_s;
-    dst.bids_received += src.bids_received;
-    dst.offers_rejected += src.offers_rejected;
-  }
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    const WorkerRecord& src = other.workers_[w];
-    WorkerRecord& dst = workers_[w];
-    if (dst.name.empty()) dst.name = src.name;
-    dst.jobs_completed += src.jobs_completed;
-    dst.cache_misses += src.cache_misses;
-    dst.cache_hits += src.cache_hits;
-    dst.downloaded_mb += src.downloaded_mb;
-    dst.busy_ticks += src.busy_ticks;
-    dst.downloading_ticks += src.downloading_ticks;
-    dst.bids_submitted += src.bids_submitted;
-    dst.bids_won += src.bids_won;
-    dst.offers_declined += src.offers_declined;
-  }
-  registry_.absorb(other.registry_);
-  if (other.retired_.count > 0) {
-    retired_.count += other.retired_.count;
-    retired_.cache_misses += other.retired_.cache_misses;
-    retired_.cache_hits += other.retired_.cache_hits;
-    retired_.downloaded_mb += other.retired_.downloaded_mb;
-    retired_.last_finished = std::max(retired_.last_finished, other.retired_.last_finished);
-    retired_.turnaround_s.merge(other.retired_.turnaround_s);
-    retired_.alloc_latency_s.merge(other.retired_.alloc_latency_s);
-    retired_.queue_wait_s.merge(other.retired_.queue_wait_s);
-    retired_.turnaround_hist.absorb(other.retired_.turnaround_hist);
-  }
-}
-
 void MetricsCollector::retire_job(workflow::JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || !it->second.completed()) return;

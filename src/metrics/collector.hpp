@@ -93,17 +93,9 @@ class MetricsCollector {
   [[nodiscard]] Registry& registry() noexcept { return registry_; }
   [[nodiscard]] const Registry& registry() const noexcept { return registry_; }
 
-  /// Folds `other` into this collector after a sharded run: job records
-  /// merge field-wise (a timestamp or worker id set on either side wins;
-  /// per-job counters add), worker records and the registry add. Each
-  /// field is written by exactly one shard during a run, so the merge has
-  /// no ambiguous collisions. Worker tables must have equal sizes.
-  void absorb(const MetricsCollector& other);
-
   /// Folds a *completed* job's record into the retired aggregates and
   /// drops it, keeping streaming-run memory O(live jobs). No-op for
-  /// unknown or incomplete jobs. Only safe when no other collector still
-  /// holds half of the record (i.e. single-shard runs).
+  /// unknown or incomplete jobs.
   void retire_job(workflow::JobId id);
 
   [[nodiscard]] const RetiredJobStats& retired() const noexcept { return retired_; }

@@ -55,32 +55,6 @@ double Histogram::percentile(double p) const noexcept {
   return max_;
 }
 
-void Histogram::absorb(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (buckets_.empty()) buckets_.resize(kBucketCount, 0);
-  for (int i = 0; i < kBucketCount; ++i) {
-    buckets_[static_cast<std::size_t>(i)] += other.buckets_[static_cast<std::size_t>(i)];
-  }
-}
-
-void Registry::absorb(const Registry& other) {
-  for (const auto& [name, counter] : other.counters_) {
-    counters_[name].add(counter.value());
-  }
-  for (const auto& [name, histogram] : other.histograms_) {
-    histograms_[name].absorb(histogram);
-  }
-}
-
 std::vector<std::pair<std::string, double>> Registry::flatten() const {
   std::vector<std::pair<std::string, double>> out;
   out.reserve(counters_.size() + histograms_.size() * 5);

@@ -49,12 +49,6 @@ class Histogram {
   /// histogram reports 0.0 for every p (mirrors min()/max()/mean()).
   [[nodiscard]] double percentile(double p) const noexcept;
 
-  /// Folds `other` into this histogram: bucket-wise addition of counts plus
-  /// merged count/sum/min/max. Bucket layouts are identical by construction,
-  /// so the merged percentiles match recording every sample into one
-  /// histogram (up to summation order in sum_).
-  void absorb(const Histogram& other);
-
  private:
   // 8 sub-buckets per octave over 2^-20 .. 2^40 (~1e-6 .. ~1e12): covers
   // microseconds-as-seconds up to terabyte-scale volumes.
@@ -94,11 +88,6 @@ class Registry {
   /// Flattens to (name, value) pairs in deterministic (sorted) order:
   /// counters as-is, histograms expanded to .count/.mean/.p50/.p95/.max.
   [[nodiscard]] std::vector<std::pair<std::string, double>> flatten() const;
-
-  /// Folds every counter and histogram of `other` into this registry,
-  /// creating entries that don't exist yet. Used to merge per-shard
-  /// registries into the master's after a sharded run.
-  void absorb(const Registry& other);
 
  private:
   std::map<std::string, Counter> counters_;

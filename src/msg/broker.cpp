@@ -1,7 +1,6 @@
 #include "msg/broker.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -73,161 +72,25 @@ bool Broker::unsubscribe(SubscriptionId id) {
 }
 
 std::uint16_t Broker::intern_trace_name(const std::string& label) {
-  // Sharded runs resolve names from the pre-interned per-shard tables in
-  // deliver_later — interning here would mutate a tracer from whichever
-  // thread happens to be sending.
-  if (sharded()) return 0;
   if (DLAJA_TRACE_ACTIVE(sim_.tracer())) return sim_.tracer()->intern(label);
   return 0;
-}
-
-void Broker::set_shard_fault_policy(std::size_t shard, FaultPolicy policy) {
-  if (shard >= shards_.size()) {
-    throw std::out_of_range("Broker::set_shard_fault_policy: bad shard index");
-  }
-  shards_[shard].fault_policy = std::move(policy);
-}
-
-void Broker::enable_sharding(ShardLayout layout) {
-  const std::size_t count = layout.sims.size();
-  if (count < 2) {
-    throw std::invalid_argument("Broker::enable_sharding: need at least 2 shards");
-  }
-  if (layout.sims.front() != &sim_) {
-    throw std::invalid_argument(
-        "Broker::enable_sharding: shard 0 must be the broker's own simulator");
-  }
-  if (layout.node_shard.size() != net_.node_count() || layout.delay_seeds.size() != count) {
-    throw std::invalid_argument("Broker::enable_sharding: layout size mismatch");
-  }
-  for (const std::uint32_t s : layout.node_shard) {
-    if (s >= count) throw std::invalid_argument("Broker::enable_sharding: bad node shard");
-  }
-  // Preserve whatever shard 0 already accumulated (normally nothing — the
-  // engine enables sharding before the first message).
-  ShardState control = std::move(shards_.front());
-  shards_.clear();
-  shards_.resize(count);
-  shards_.front() = std::move(control);
-  for (std::size_t s = 0; s < count; ++s) {
-    shards_[s].sim = layout.sims[s];
-    shards_[s].id_tag = static_cast<std::uint64_t>(s) << 48;
-    shards_[s].delay_rng.emplace(layout.delay_seeds[s]);
-  }
-  node_shard_ = std::move(layout.node_shard);
-  outboxes_.assign(count * count, {});
-  // Pre-size node-indexed tables: growth during a window would race.
-  node_batch_.assign(net_.node_count(), kInvalidInterned);
-  if (down_.size() < net_.node_count()) down_.resize(net_.node_count(), 0);
-}
-
-void Broker::prepare_shard_tracing() {
-  shard_trace_.assign(shards_.size(), ShardTraceNames{});
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardTraceNames& table = shard_trace_[s];
-    table.topics.assign(topics_.size(), 0);
-    table.boxes.assign(mailbox_names_.size(), 0);
-    obs::Tracer* tracer = shards_[s].sim->tracer();
-    if (!DLAJA_TRACE_ACTIVE(tracer)) continue;
-    for (std::size_t i = 0; i < topics_.size(); ++i) {
-      table.topics[i] = tracer->intern(topics_[i].name);
-    }
-    for (std::size_t i = 0; i < mailbox_names_.size(); ++i) {
-      table.boxes[i] = tracer->intern(mailbox_names_[i]);
-    }
-  }
-}
-
-std::size_t Broker::drain_outboxes() {
-  if (outboxes_.empty()) return 0;
-  std::size_t drained = 0;
-  const std::size_t count = shards_.size();
-  for (std::size_t dst = 0; dst < count; ++dst) {
-    for (std::size_t src = 0; src < count; ++src) {
-      auto& box = outboxes_[src * count + dst];
-      for (Parcel& parcel : box) {
-        // The conservative lookahead guarantees the delivery tick lies
-        // strictly beyond the window the message was sent in, so it is
-        // never in the destination shard's past.
-        assert(parcel.deliver_at >= shards_[dst].sim->now());
-        schedule_copy(static_cast<std::uint32_t>(dst), std::move(parcel.flight),
-                      parcel.deliver_at);
-        ++drained;
-      }
-      box.clear();
-    }
-  }
-  return drained;
-}
-
-bool Broker::outboxes_empty() const noexcept {
-  for (const auto& box : outboxes_) {
-    if (!box.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t Broker::in_flight_on(std::size_t shard) const noexcept {
-  const ShardState& st = shards_[shard];
-  std::size_t count = st.inflight.size() - st.inflight_free.size();
-  if (!outboxes_.empty()) {
-    const std::size_t n = shards_.size();
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      count += outboxes_[shard * n + dst].size();
-    }
-  }
-  return count;
-}
-
-std::size_t Broker::in_flight_total() const noexcept {
-  std::size_t count = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) count += in_flight_on(s);
-  return count;
-}
-
-const BrokerStats& Broker::stats() const noexcept {
-  if (shards_.size() == 1) return shards_.front().stats;
-  agg_stats_ = BrokerStats{};
-  for (const ShardState& s : shards_) {
-    agg_stats_.published += s.stats.published;
-    agg_stats_.sent += s.stats.sent;
-    agg_stats_.enqueued += s.stats.enqueued;
-    agg_stats_.delivered += s.stats.delivered;
-    agg_stats_.dropped += s.stats.dropped;
-    agg_stats_.missed += s.stats.missed;
-    agg_stats_.fault_dropped += s.stats.fault_dropped;
-    agg_stats_.fault_duplicated += s.stats.fault_duplicated;
-    agg_stats_.batches += s.stats.batches;
-    agg_stats_.batched += s.stats.batched;
-  }
-  return agg_stats_;
 }
 
 void Broker::deliver_later(net::NodeId from, net::NodeId to, std::uint16_t trace_name,
                            Route route, std::uint32_t target, std::uint32_t slot,
                            std::uint32_t gen, const Payload& payload) {
-  const std::uint32_t src_shard = shard_of(from);
-  ShardState& src = shards_[src_shard];
   // Fault policy (if any) decides the copy count per delivery: 0 drops the
   // message before it ever enters the in-flight slab, >1 duplicates it with
   // independently sampled delays. No policy installed = exactly one copy
   // through the original code path, bit-identical to a fault-free run.
   std::uint32_t copies = 1;
-  if (src.fault_policy) {
-    copies = src.fault_policy(from, to);
+  if (fault_policy_) {
+    copies = fault_policy_(from, to);
     if (copies == 0) {
-      ++src.stats.fault_dropped;
+      ++stats_.fault_dropped;
       return;
     }
-    if (copies > 1) src.stats.fault_duplicated += copies - 1;
-  }
-
-  const std::uint32_t dst_shard = shard_of(to);
-  if (!shard_trace_.empty()) {
-    const ShardTraceNames& table = shard_trace_[dst_shard];
-    trace_name = route == Route::kSubscription
-                     ? (target < table.topics.size() ? table.topics[target] : 0)
-                     : (target < table.boxes.size() ? table.boxes[target] : 0);
+    if (copies > 1) stats_.fault_duplicated += copies - 1;
   }
 
   for (std::uint32_t copy = 0; copy < copies; ++copy) {
@@ -238,107 +101,92 @@ void Broker::deliver_later(net::NodeId from, net::NodeId to, std::uint16_t trace
     flight.target = target;
     flight.slot = slot;
     flight.gen = gen;
-    flight.message.id = src.id_tag | src.next_message++;
+    flight.message.id = next_message_++;
     flight.message.from = from;
-    flight.message.sent_at = src.sim->now();
+    flight.message.sent_at = sim_.now();
     flight.message.payload = payload;  // shared box — a refcount bump
-    const Tick delay = src.delay_rng
-                           ? net_.sample_message_delay_with(*src.delay_rng, from, to)
-                           : net_.sample_message_delay(from, to);
-    ++src.stats.enqueued;
-    const Tick at = src.sim->now() + delay;
-    if (dst_shard == src_shard) {
-      schedule_copy(dst_shard, std::move(flight), at);
-    } else {
-      // Cross-shard: park in this shard's outbox row; the engine drains it
-      // into the destination shard at the next window barrier.
-      outboxes_[src_shard * shards_.size() + dst_shard].push_back(
-          Parcel{std::move(flight), at});
-    }
+    const Tick delay = net_.sample_message_delay(from, to);
+    ++stats_.enqueued;
+    schedule_copy(std::move(flight), sim_.now() + delay);
   }
 }
 
-void Broker::schedule_copy(std::uint32_t shard, InFlight flight, Tick at) {
-  ShardState& st = shards_[shard];
+void Broker::schedule_copy(InFlight flight, Tick at) {
   const net::NodeId to = flight.to;
   std::uint32_t slot;
-  if (!st.inflight_free.empty()) {
-    slot = st.inflight_free.back();
-    st.inflight_free.pop_back();
-    st.inflight[slot] = std::move(flight);
+  if (!inflight_free_.empty()) {
+    slot = inflight_free_.back();
+    inflight_free_.pop_back();
+    inflight_[slot] = std::move(flight);
   } else {
-    slot = static_cast<std::uint32_t>(st.inflight.size());
-    st.inflight.push_back(std::move(flight));
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.push_back(std::move(flight));
   }
 
   if (!coalesce_) {
-    auto deliver = [this, shard, slot] { deliver_now(shard, slot); };
+    auto deliver = [this, slot] { deliver_now(slot); };
     static_assert(sim::InlineAction::fits_inline<decltype(deliver)>());
-    st.sim->schedule_at(at, std::move(deliver));
+    sim_.schedule_at(at, std::move(deliver));
     return;
   }
 
   // Coalescing: append to the node's armed batch when it lands on the same
-  // tick; otherwise open a new batch with its own kernel event. Batches live
-  // in the destination node's shard, as does the node_batch_ entry.
+  // tick; otherwise open a new batch with its own kernel event.
   if (to >= node_batch_.size()) node_batch_.resize(to + 1, kInvalidInterned);
   const std::uint32_t current = node_batch_[to];
-  if (current != kInvalidInterned && st.batches[current].armed && st.batches[current].at == at) {
-    st.batches[current].messages.push_back(slot);
-    ++st.stats.batched;
+  if (current != kInvalidInterned && batches_[current].armed && batches_[current].at == at) {
+    batches_[current].messages.push_back(slot);
+    ++stats_.batched;
     return;
   }
   std::uint32_t batch;
-  if (!st.batch_free.empty()) {
-    batch = st.batch_free.back();
-    st.batch_free.pop_back();
+  if (!batch_free_.empty()) {
+    batch = batch_free_.back();
+    batch_free_.pop_back();
   } else {
-    batch = static_cast<std::uint32_t>(st.batches.size());
-    st.batches.emplace_back();
+    batch = static_cast<std::uint32_t>(batches_.size());
+    batches_.emplace_back();
   }
-  Batch& b = st.batches[batch];
+  Batch& b = batches_[batch];
   b.to = to;
   b.at = at;
   b.armed = true;
   b.messages.push_back(slot);
   node_batch_[to] = batch;
-  auto fire = [this, shard, batch] { fire_batch(shard, batch); };
+  auto fire = [this, batch] { fire_batch(batch); };
   static_assert(sim::InlineAction::fits_inline<decltype(fire)>());
-  st.sim->schedule_at(at, std::move(fire));
+  sim_.schedule_at(at, std::move(fire));
 }
 
-void Broker::fire_batch(std::uint32_t shard, std::uint32_t batch) {
-  ShardState& st = shards_[shard];
+void Broker::fire_batch(std::uint32_t batch) {
   // Disarm before delivering: a handler that sends again with zero delay
   // must open a fresh batch instead of appending to the list being walked.
-  st.batches[batch].armed = false;
-  if (node_batch_[st.batches[batch].to] == batch) {
-    node_batch_[st.batches[batch].to] = kInvalidInterned;
+  batches_[batch].armed = false;
+  if (node_batch_[batches_[batch].to] == batch) {
+    node_batch_[batches_[batch].to] = kInvalidInterned;
   }
-  ++st.stats.batches;
+  ++stats_.batches;
   // Index-fresh access each step: deliveries may grow the batch slab.
-  for (std::size_t i = 0; i < st.batches[batch].messages.size(); ++i) {
-    deliver_now(shard, st.batches[batch].messages[i]);
+  for (std::size_t i = 0; i < batches_[batch].messages.size(); ++i) {
+    deliver_now(batches_[batch].messages[i]);
   }
-  st.batches[batch].messages.clear();
-  st.batch_free.push_back(batch);
+  batches_[batch].messages.clear();
+  batch_free_.push_back(batch);
 }
 
-void Broker::deliver_now(std::uint32_t shard, std::uint32_t slot) {
-  ShardState& st = shards_[shard];
+void Broker::deliver_now(std::uint32_t slot) {
   // Move out and free the slot before invoking: the handler may send again,
   // reusing the slot or growing the slab.
-  InFlight flight = std::move(st.inflight[slot]);
-  st.inflight_free.push_back(slot);
-  sim::Simulator& sim = *st.sim;
-  if (DLAJA_TRACE_ACTIVE(sim.tracer())) {
+  InFlight flight = std::move(inflight_[slot]);
+  inflight_free_.push_back(slot);
+  if (DLAJA_TRACE_ACTIVE(sim_.tracer())) {
     // publish->deliver (or send->deliver) latency, one span per hop,
     // tracked by the receiving node.
-    sim.tracer()->span(obs::Component::kMsg, flight.trace_name, flight.to,
-                       flight.message.sent_at, sim.now(), flight.message.id);
+    sim_.tracer()->span(obs::Component::kMsg, flight.trace_name, flight.to,
+                        flight.message.sent_at, sim_.now(), flight.message.id);
   }
   if (node_down(flight.to)) {
-    ++st.stats.dropped;
+    ++stats_.dropped;
     return;
   }
 
@@ -349,10 +197,10 @@ void Broker::deliver_now(std::uint32_t shard, std::uint32_t slot) {
     // not be invoked (and, matching the historical behavior, is not counted
     // as either delivered or dropped — `missed` tracks it for conservation).
     if (s.gen != flight.gen || !s.handler) {
-      ++st.stats.missed;
+      ++stats_.missed;
       return;
     }
-    ++st.stats.delivered;
+    ++stats_.delivered;
     // Run the handler through a local: the call may unsubscribe this very
     // subscription (destroying the slot's handler mid-call otherwise) or
     // subscribe anew (growing the slot vector under our reference). Restore
@@ -368,10 +216,10 @@ void Broker::deliver_now(std::uint32_t shard, std::uint32_t slot) {
   const std::uint32_t box = flight.target;
   if (flight.to >= mailboxes_.size() || box >= mailboxes_[flight.to].size() ||
       !mailboxes_[flight.to][box]) {
-    ++st.stats.dropped;
+    ++stats_.dropped;
     return;
   }
-  ++st.stats.delivered;
+  ++stats_.delivered;
   Handler live = std::move(mailboxes_[flight.to][box]);
   live(flight.message);
   if (flight.to < mailboxes_.size() && box < mailboxes_[flight.to].size() &&
@@ -381,7 +229,7 @@ void Broker::deliver_now(std::uint32_t shard, std::uint32_t slot) {
 }
 
 std::size_t Broker::publish(TopicId topic_id, net::NodeId from, Payload payload) {
-  ++shards_[shard_of(from)].stats.published;
+  ++stats_.published;
   if (topic_id >= topics_.size()) return 0;
   Topic& t = topics_[topic_id];
   const std::uint16_t trace_name = intern_trace_name(t.name);
@@ -403,7 +251,7 @@ std::size_t Broker::publish(const std::string& topic_name, net::NodeId from, Pay
   const auto it = topic_ids_.find(topic_name);
   if (it == topic_ids_.end()) {
     // A publish into the void still counts as published.
-    ++shards_[shard_of(from)].stats.published;
+    ++stats_.published;
     return 0;
   }
   return publish(it->second, from, std::move(payload));
@@ -411,7 +259,7 @@ std::size_t Broker::publish(const std::string& topic_name, net::NodeId from, Pay
 
 std::size_t Broker::publish_to(TopicId topic_id, net::NodeId from, Payload payload,
                                std::span<const net::NodeId> targets) {
-  ++shards_[shard_of(from)].stats.published;
+  ++stats_.published;
   if (topic_id >= topics_.size()) return 0;
   Topic& t = topics_[topic_id];
   const std::uint16_t trace_name = intern_trace_name(t.name);
@@ -446,7 +294,7 @@ void Broker::remove_mailbox(net::NodeId node, const std::string& name) {
 }
 
 void Broker::send(net::NodeId from, net::NodeId to, MailboxId box, Payload payload) {
-  ++shards_[shard_of(from)].stats.sent;
+  ++stats_.sent;
   const std::uint16_t trace_name =
       box < mailbox_names_.size() ? intern_trace_name(mailbox_names_[box]) : 0;
   deliver_later(from, to, trace_name, Route::kMailbox, box, 0, 0, payload);

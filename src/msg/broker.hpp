@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -30,7 +29,6 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace dlaja::msg {
@@ -129,33 +127,11 @@ struct BrokerStats {
 /// of the message to put in flight (0 = drop, 1 = normal, 2 = duplicate).
 using FaultPolicy = std::function<std::uint32_t(net::NodeId from, net::NodeId to)>;
 
-/// Shard topology handed to Broker::enable_sharding. Index 0 is the control
-/// shard (master + broker bookkeeping); 1..N are worker shards. Every
-/// registered node is pinned to exactly one shard, and each shard gets its
-/// own message-delay RNG substream so concurrent sends never touch the
-/// per-node streams.
-struct ShardLayout {
-  std::vector<sim::Simulator*> sims;       ///< shard index -> its event queue
-  std::vector<std::uint32_t> node_shard;   ///< NodeId -> shard index
-  std::vector<std::uint64_t> delay_seeds;  ///< per-shard delay-stream seeds
-};
-
 /// The broker. Owned by the Engine; one per simulated cluster.
-///
-/// In sharded runs the broker is the synchronization boundary: each shard
-/// delivers its own nodes' messages on its own simulator, and cross-shard
-/// traffic is parked in per-(src,dst) outboxes that the engine drains at the
-/// window barriers. All shard-crossing state (topic tables, mailbox tables,
-/// down flags) is structurally frozen during a window — only handlers of
-/// nodes owned by the running shard are invoked — so windows are race-free
-/// by construction.
 class Broker {
  public:
   Broker(sim::Simulator& simulator, net::NetworkModel& network)
-      : sim_(simulator), net_(network) {
-    shards_.emplace_back();
-    shards_.front().sim = &simulator;
-  }
+      : sim_(simulator), net_(network) {}
 
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
@@ -206,37 +182,8 @@ class Broker {
 
   /// Installs (or clears, with nullptr) the per-delivery fault policy. With
   /// no policy installed the broker behaves bit-identically to a fault-free
-  /// build — the hook is never consulted. Single-shard form; sharded runs
-  /// install one policy per shard with set_shard_fault_policy.
-  void set_fault_policy(FaultPolicy policy) {
-    shards_.front().fault_policy = std::move(policy);
-  }
-
-  /// Per-shard fault policy (sharded runs): consulted for deliveries whose
-  /// *sender* lives on `shard`, from that shard's thread.
-  void set_shard_fault_policy(std::size_t shard, FaultPolicy policy);
-
-  // --- Sharded execution ------------------------------------------------
-
-  /// Switches the broker to sharded operation. Must be called after all
-  /// nodes are registered and before the first publish/send. Shard 0's sim
-  /// must be the simulator the broker was constructed with.
-  void enable_sharding(ShardLayout layout);
-
-  [[nodiscard]] bool sharded() const noexcept { return !node_shard_.empty(); }
-  [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-
-  /// Builds per-shard interned-name tables on each shard's tracer so traced
-  /// deliveries never intern (hash + mutate) from a shard thread. Call after
-  /// attaching tracers to the shard simulators.
-  void prepare_shard_tracing();
-
-  /// Moves every parked cross-shard message onto its destination shard's
-  /// event queue. Main thread only, at a window barrier (no shard running).
-  /// Returns the number of messages drained.
-  std::size_t drain_outboxes();
-
-  [[nodiscard]] bool outboxes_empty() const noexcept;
+  /// build — the hook is never consulted.
+  void set_fault_policy(FaultPolicy policy) { fault_policy_ = std::move(policy); }
 
   /// Same-tick delivery coalescing: consecutive deliveries to one node that
   /// land on the same tick share a single kernel event. Off by default —
@@ -247,22 +194,15 @@ class Broker {
 
   [[nodiscard]] bool node_down(net::NodeId node) const;
 
-  /// Delivery counters. Single-shard: the live counters. Sharded: the sum
-  /// over all shards, refreshed on each call (main thread, barriers only).
-  [[nodiscard]] const BrokerStats& stats() const noexcept;
+  /// Delivery counters.
+  [[nodiscard]] const BrokerStats& stats() const noexcept { return stats_; }
 
-  /// Messages currently in flight that shard `shard` accounts for: occupied
-  /// slots in its delivery slab plus parcels parked in its cross-shard
-  /// outbox rows (sent but not yet drained to the destination shard). Safe
-  /// from the shard's own thread mid-window — both structures are written
-  /// only by that shard between barriers — so the telemetry gauge reads it
-  /// live; summed over all shards (barriers / single-shard) it completes the
-  /// mid-run conservation identity
+  /// Messages currently in flight (occupied slots in the delivery slab).
+  /// Completes the mid-run conservation identity
   ///   enqueued == delivered + dropped + missed + in_flight.
-  [[nodiscard]] std::size_t in_flight_on(std::size_t shard) const noexcept;
-
-  /// Sum of in_flight_on over all shards. Main thread at barriers only.
-  [[nodiscard]] std::size_t in_flight_total() const noexcept;
+  [[nodiscard]] std::size_t in_flight() const noexcept {
+    return inflight_.size() - inflight_free_.size();
+  }
 
  private:
   /// One subscriber slot in a topic's slab. `gen` bumps on unsubscribe so
@@ -311,59 +251,22 @@ class Broker {
     std::vector<std::uint32_t> messages;
   };
 
-  /// Per-shard delivery machinery. The single-shard broker is simply
-  /// shards_[0] wired to the constructor's simulator — the hot path is the
-  /// same code either way. Cache-line aligned so concurrently active shard
-  /// states never false-share.
-  struct alignas(64) ShardState {
-    sim::Simulator* sim = nullptr;
-    std::uint64_t id_tag = 0;        ///< shard tag ORed into message ids
-    std::uint64_t next_message = 1;
-    /// Sharded runs: the shard's own delay stream. Absent in single-shard
-    /// mode, where delays keep drawing from the per-node streams.
-    std::optional<RandomStream> delay_rng;
-    FaultPolicy fault_policy;
-    BrokerStats stats;
-    std::vector<InFlight> inflight;            // slab of parked deliveries
-    std::vector<std::uint32_t> inflight_free;  // recycled slab slots
-    std::vector<Batch> batches;
-    std::vector<std::uint32_t> batch_free;
-  };
-
-  /// A cross-shard message waiting for the next window barrier.
-  struct Parcel {
-    InFlight flight;
-    Tick deliver_at = 0;
-  };
-
-  /// Pre-interned topic/mailbox labels per shard tracer (traced sharded
-  /// runs only) — read-only during windows.
-  struct ShardTraceNames {
-    std::vector<std::uint16_t> topics;
-    std::vector<std::uint16_t> boxes;
-  };
-
-  [[nodiscard]] std::uint32_t shard_of(net::NodeId node) const noexcept {
-    return node_shard_.empty() ? 0 : node_shard_[node];
-  }
-
   /// Applies the fault policy and schedules the copies. `trace_name` is only
-  /// nonzero when tracing is active (sharded runs resolve it per destination
-  /// shard instead).
+  /// nonzero when tracing is active.
   void deliver_later(net::NodeId from, net::NodeId to, std::uint16_t trace_name, Route route,
                      std::uint32_t target, std::uint32_t slot, std::uint32_t gen,
                      const Payload& payload);
 
-  /// Parks one copy in `shard`'s in-flight slab and schedules (or batches)
-  /// its delivery event at absolute tick `at` on that shard's simulator.
-  void schedule_copy(std::uint32_t shard, InFlight flight, Tick at);
+  /// Parks one copy in the in-flight slab and schedules (or batches) its
+  /// delivery event at absolute tick `at`.
+  void schedule_copy(InFlight flight, Tick at);
 
   /// Delivers one parked message now (frees the slot first: the handler may
   /// send again, reusing the slot or growing the slab).
-  void deliver_now(std::uint32_t shard, std::uint32_t slot);
+  void deliver_now(std::uint32_t slot);
 
   /// Fires one coalesced batch: delivers every parked message in order.
-  void fire_batch(std::uint32_t shard, std::uint32_t batch);
+  void fire_batch(std::uint32_t batch);
 
   [[nodiscard]] std::uint16_t intern_trace_name(const std::string& label);
 
@@ -385,29 +288,22 @@ class Broker {
   /// mailboxes_[node][mailbox] — empty Handler means "not registered".
   std::vector<std::vector<Handler>> mailboxes_;
 
-  std::vector<std::uint8_t> down_;  // indexed by node; written at barriers only
+  std::vector<std::uint8_t> down_;  // indexed by node
 
   bool coalesce_ = false;
-  /// node -> most recently armed batch in its shard (or kInvalidInterned).
-  /// Only the latest batch per node accretes messages; an older same-tick
-  /// batch that was superseded just fires with what it has. Each node is
-  /// owned by one shard, so entries never contend across shards.
+  /// node -> most recently armed batch (or kInvalidInterned). Only the
+  /// latest batch per node accretes messages; an older same-tick batch that
+  /// was superseded just fires with what it has.
   std::vector<std::uint32_t> node_batch_;
 
   std::uint64_t next_subscription_ = 1;
-
-  /// Shard states; exactly one entry (the constructor's simulator) until
-  /// enable_sharding() is called.
-  std::vector<ShardState> shards_;
-  /// NodeId -> shard index; empty in single-shard mode.
-  std::vector<std::uint32_t> node_shard_;
-  /// Cross-shard outboxes, indexed [src * shard_count + dst]. Shard threads
-  /// append to their own src rows; the main thread drains all rows at the
-  /// window barriers.
-  std::vector<std::vector<Parcel>> outboxes_;
-  std::vector<ShardTraceNames> shard_trace_;
-  /// Scratch for the sharded stats() aggregate.
-  mutable BrokerStats agg_stats_;
+  std::uint64_t next_message_ = 1;
+  FaultPolicy fault_policy_;
+  BrokerStats stats_;
+  std::vector<InFlight> inflight_;            // slab of parked deliveries
+  std::vector<std::uint32_t> inflight_free_;  // recycled slab slots
+  std::vector<Batch> batches_;
+  std::vector<std::uint32_t> batch_free_;
 };
 
 }  // namespace dlaja::msg

@@ -37,14 +37,6 @@ Tick NetworkModel::sample_message_delay(NodeId from, NodeId to) {
   return ticks_from_millis(src_ms + dst_ms);
 }
 
-Tick NetworkModel::sample_message_delay_with(RandomStream& rng, NodeId from, NodeId to) const {
-  const LinkConfig& src = link(from);
-  const LinkConfig& dst = link(to);
-  const double src_ms = src.latency_ms + rng.uniform(0.0, src.latency_jitter_ms);
-  const double dst_ms = dst.latency_ms + rng.uniform(0.0, dst.latency_jitter_ms);
-  return ticks_from_millis(src_ms + dst_ms);
-}
-
 double NetworkModel::sample_noise_factor(NodeId node) {
   return noise_.sample(node_at(node).rng);
 }

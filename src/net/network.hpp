@@ -59,13 +59,6 @@ class NetworkModel {
   /// the broker, so both endpoints' latencies contribute).
   [[nodiscard]] Tick sample_message_delay(NodeId from, NodeId to);
 
-  /// Same distribution as sample_message_delay, but both jitter draws come
-  /// from `rng` instead of the endpoints' node streams. Sharded runs give
-  /// each shard its own delay stream so concurrent sends never contend on
-  /// (or perturb) the per-node streams, which stay owned by their shard's
-  /// bulk-transfer sampling.
-  [[nodiscard]] Tick sample_message_delay_with(RandomStream& rng, NodeId from, NodeId to) const;
-
   /// Draws one multiplicative noise factor from `node`'s stream.
   [[nodiscard]] double sample_noise_factor(NodeId node);
 

@@ -1,12 +1,10 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "util/csv.hpp"
 
@@ -192,38 +190,6 @@ std::size_t read_chrome_trace(std::istream& in, Tracer& into) {
     ++imported;
   }
   return imported;
-}
-
-void merge_tracers(Tracer& dst, std::span<const Tracer* const> sources) {
-  std::vector<TraceEvent> merged = dst.events();
-  std::size_t total = merged.size();
-  for (const Tracer* src : sources) {
-    if (src != nullptr) total += src->events().size();
-  }
-  merged.reserve(total);
-  for (const Tracer* src : sources) {
-    if (src == nullptr) continue;
-    // Per-source remap cache: source name-id -> dst name-id.
-    std::vector<std::uint16_t> remap(src->names().size(), 0);
-    std::vector<bool> mapped(src->names().size(), false);
-    for (const TraceEvent& event : src->events()) {
-      TraceEvent copy = event;
-      if (copy.name < remap.size()) {
-        if (!mapped[copy.name]) {
-          remap[copy.name] = dst.intern(src->name(copy.name));
-          mapped[copy.name] = true;
-        }
-        copy.name = remap[copy.name];
-      }
-      merged.push_back(copy);
-    }
-  }
-  // Stable: same-tick events keep (dst, then source order) — the merged
-  // trace is a pure function of the per-shard traces, not of thread timing.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts < b.ts; });
-  dst.clear();
-  for (const TraceEvent& event : merged) dst.append(event);
 }
 
 }  // namespace dlaja::obs

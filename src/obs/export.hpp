@@ -14,18 +14,10 @@
 // writer's output, not a general JSON parser.
 
 #include <iosfwd>
-#include <span>
 
 #include "obs/trace.hpp"
 
 namespace dlaja::obs {
-
-/// Merges the events of `sources` into `dst`, re-interning names into dst's
-/// table and stably re-sorting everything by timestamp (ties keep dst's
-/// events first, then source order) — so a sharded run exports one
-/// deterministic, time-ordered trace regardless of shard interleaving.
-/// Events beyond dst's capacity are dropped and counted by dst.dropped().
-void merge_tracers(Tracer& dst, std::span<const Tracer* const> sources);
 
 /// Writes all recorded events as Chrome trace-event JSON. Components become
 /// processes (with name metadata), tracks become thread ids, spans "X"

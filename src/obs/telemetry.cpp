@@ -22,22 +22,23 @@ void append_double(std::string& out, double value) {
 
 }  // namespace
 
-void ProbeRegistry::add_gauge(std::string name, std::uint32_t shard, Gauge fn) {
+void ProbeRegistry::add_gauge(std::string name, std::uint32_t tag, Gauge fn) {
   if (name.empty() || !fn) {
     throw std::invalid_argument("ProbeRegistry::add_gauge: need a name and a callback");
   }
-  gauges_.push_back(GaugeEntry{std::move(name), shard, std::move(fn)});
+  if (tag != 0) throw std::invalid_argument("ProbeRegistry::add_gauge: tag must be 0");
+  gauges_.push_back(GaugeEntry{std::move(name), std::move(fn)});
 }
 
-void ProbeRegistry::add_invariant(std::string name, std::uint32_t shard, Check fn) {
+void ProbeRegistry::add_invariant(std::string name, std::uint32_t tag, Check fn) {
   if (name.empty() || !fn) {
     throw std::invalid_argument("ProbeRegistry::add_invariant: need a name and a callback");
   }
-  invariants_.push_back(CheckEntry{std::move(name), shard, std::move(fn)});
+  if (tag != 0) throw std::invalid_argument("ProbeRegistry::add_invariant: tag must be 0");
+  invariants_.push_back(CheckEntry{std::move(name), std::move(fn)});
 }
 
-void TelemetrySampler::bind(const ProbeRegistry& registry, std::uint32_t shard,
-                            const TelemetryConfig& config) {
+void TelemetrySampler::bind(const ProbeRegistry& registry, const TelemetryConfig& config) {
   if (config.interval <= 0) {
     throw std::invalid_argument("TelemetrySampler::bind: interval must be > 0");
   }
@@ -49,7 +50,6 @@ void TelemetrySampler::bind(const ProbeRegistry& registry, std::uint32_t shard,
   next_due_ = config.interval;
   stride_ = 1;
   for (const ProbeRegistry::GaugeEntry& gauge : registry.gauges_) {
-    if (gauge.shard != shard) continue;
     // Several gauges may share a series name; they sum into one column.
     const auto it = std::find(names_.begin(), names_.end(), gauge.name);
     std::size_t column = 0;
@@ -65,12 +65,12 @@ void TelemetrySampler::bind(const ProbeRegistry& registry, std::uint32_t shard,
   columns_stale_ = true;
   if (config.watchdog) {
     for (const ProbeRegistry::CheckEntry& check : registry.invariants_) {
-      if (check.shard == shard) checks_.push_back(&check);
+      checks_.push_back(&check);
     }
   }
 }
 
-void TelemetrySampler::read_row(Tick tick) {
+void TelemetrySampler::sample(Tick tick) {
   assert(bound_ && tick == next_due_);
   next_due_ += config_.interval;
   std::fill(scratch_row_.begin(), scratch_row_.end(), 0.0);
@@ -79,8 +79,7 @@ void TelemetrySampler::read_row(Tick tick) {
   }
   // Invariants run at every sample at full cadence — retention only thins
   // what is *stored*, never what is *checked*. After the first violation the
-  // sampler records nothing further but keeps sampling, so tick cursors stay
-  // in lockstep across shards until the engine notices and fails the run.
+  // sampler records nothing further but keeps sampling.
   if (!violation_) {
     for (const ProbeRegistry::CheckEntry* check : checks_) {
       std::string message = check->fn();
@@ -90,59 +89,24 @@ void TelemetrySampler::read_row(Tick tick) {
       }
     }
   }
-}
-
-void TelemetrySampler::sample(Tick tick) {
-  read_row(tick);
-  Pending pending;
-  pending.tick = tick;
-  if (!row_pool_.empty()) {
-    pending.row = std::move(row_pool_.back());
-    row_pool_.pop_back();
-  }
-  pending.row = scratch_row_;  // assignment reuses the recycled capacity
-  pending_.push_back(std::move(pending));
-}
-
-void TelemetrySampler::sample_confirmed(Tick tick) {
-  assert(pending_.empty());  // confirmed rows may not overtake pending ones
-  read_row(tick);
-  commit_row(tick, scratch_row_);
-}
-
-void TelemetrySampler::confirm_through(Tick through) {
-  while (!pending_.empty() && pending_.front().tick <= through) {
-    commit_row(pending_.front().tick, pending_.front().row);
-    row_pool_.push_back(std::move(pending_.front().row));
-    pending_.pop_front();
-  }
-}
-
-void TelemetrySampler::finalize(Tick target) {
-  if (!bound_) return;
-  // Pad: the run went quiescent before the canonical end (a sharded window
-  // stopped short of ceil_grid(t_last)); gauges read the frozen final state.
-  while (next_due_ <= target) sample(next_due_);
-  confirm_through(target);
-  // Trim: samples past the canonical end (window-lookahead overrun).
-  pending_.clear();
-}
-
-void TelemetrySampler::commit_row(Tick tick, const std::vector<double>& row) {
-  // Retention keeps ticks on the (stride * interval) grid; a committed tick
-  // off the current grid was doomed by an earlier compaction.
+  // Retention keeps ticks on the (stride * interval) grid; a tick off the
+  // current grid was doomed by an earlier compaction.
   if ((tick / config_.interval) % static_cast<Tick>(stride_) != 0) return;
   ticks_.push_back(tick);
-  rows_.insert(rows_.end(), row.begin(), row.end());
+  rows_.insert(rows_.end(), scratch_row_.begin(), scratch_row_.end());
   columns_stale_ = true;
   if (ticks_.size() >= config_.capacity) compact();
 }
 
+void TelemetrySampler::finalize(Tick target) {
+  if (!bound_) return;
+  // Pad: the run went quiescent before the canonical end; gauges read the
+  // frozen final state.
+  while (next_due_ <= target) sample(next_due_);
+}
+
 void TelemetrySampler::compact() {
   // Stride-doubling ring retention: drop every sample off the doubled grid.
-  // Because every sampler is fed the identical canonical tick sequence with
-  // identical capacity, compaction happens at the same point everywhere —
-  // retained ticks stay lockstep across shards and shard counts.
   stride_ *= 2;
   const std::size_t width = names_.size();
   std::size_t kept = 0;
@@ -187,47 +151,23 @@ void TelemetrySampler::dump_tail(std::ostream& out, std::size_t rows) const {
   for (std::size_t i = start; i < ticks_.size(); ++i) {
     emit(ticks_[i], [&](std::size_t s) { return rows_[i * names_.size() + s]; });
   }
-  for (const Pending& pending : pending_) {
-    emit(pending.tick, [&](std::size_t s) { return pending.row[s]; });
-  }
 }
 
-TelemetryTable merge_samplers(std::span<const TelemetrySampler* const> samplers) {
+TelemetryTable TelemetrySampler::table() const {
   TelemetryTable table;
-  const TelemetrySampler* reference = nullptr;
-  for (const TelemetrySampler* sampler : samplers) {
-    if (sampler == nullptr || !sampler->bound()) continue;
-    if (reference == nullptr) {
-      reference = sampler;
-    } else if (sampler->ticks() != reference->ticks()) {
-      throw std::logic_error(
-          "merge_samplers: shard samplers hold different tick sequences "
-          "(engine finalize bug)");
-    }
-    for (const std::string& name : sampler->names()) {
-      if (std::find(table.names.begin(), table.names.end(), name) == table.names.end()) {
-        table.names.push_back(name);
-      }
-    }
-  }
-  if (reference == nullptr) return table;
-  // Sorted columns: the layout depends on neither registration order nor
-  // shard count, so CSVs diff cleanly across both.
+  if (!bound_) return table;
+  // Sorted columns: the layout does not depend on registration order, so
+  // CSVs diff cleanly across runs that register probes differently.
+  table.names = names_;
   std::sort(table.names.begin(), table.names.end());
-  table.interval = reference->interval();
-  table.ticks = reference->ticks();
-  table.values.assign(table.names.size(),
-                      std::vector<double>(table.ticks.size(), 0.0));
-  for (const TelemetrySampler* sampler : samplers) {
-    if (sampler == nullptr || !sampler->bound()) continue;
-    const std::size_t width = sampler->names().size();
-    const std::vector<double>& rows = sampler->row_data();
-    for (std::size_t s = 0; s < width; ++s) {
-      const auto it =
-          std::find(table.names.begin(), table.names.end(), sampler->names()[s]);
-      auto& column = table.values[static_cast<std::size_t>(it - table.names.begin())];
-      for (std::size_t i = 0; i < column.size(); ++i) column[i] += rows[i * width + s];
-    }
+  table.interval = config_.interval;
+  table.ticks = ticks_;
+  table.values.assign(table.names.size(), std::vector<double>(ticks_.size()));
+  const std::size_t width = names_.size();
+  for (std::size_t s = 0; s < width; ++s) {
+    const auto it = std::find(table.names.begin(), table.names.end(), names_[s]);
+    auto& column = table.values[static_cast<std::size_t>(it - table.names.begin())];
+    for (std::size_t i = 0; i < column.size(); ++i) column[i] = rows_[i * width + s];
   }
   return table;
 }

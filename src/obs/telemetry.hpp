@@ -3,40 +3,30 @@
 //
 // Components register named read-only *gauges* (a double-valued callback)
 // and *invariants* (a callback returning "" when healthy, or a diagnostic
-// message) in a ProbeRegistry. A TelemetrySampler reads every probe bound to
-// one shard at a fixed simulated-tick cadence and stores the values in
-// columnar series with bounded "ring" retention: when a series reaches its
-// capacity, every second retained sample is dropped and the retention stride
-// doubles, so million-job streaming runs keep O(capacity) memory while the
-// retained ticks stay on a regular (stride x interval) grid.
+// message) in a ProbeRegistry. A TelemetrySampler reads every probe at a
+// fixed simulated-tick cadence and stores the values in series with bounded
+// "ring" retention: when a series reaches its capacity, every second
+// retained sample is dropped and the retention stride doubles, so
+// million-job streaming runs keep O(capacity) memory while the retained
+// ticks stay on a regular (stride x interval) grid.
 //
 // Determinism contract: sampling fires no simulator events, draws no RNG,
 // and mutates nothing outside the sampler itself — a run with telemetry on
-// is bit-identical to the same run with it off. Sharded runs drive one
-// sampler per shard (each reads only state owned by its shard's thread) and
-// merge them after the run; on flat contest-free workloads the merged series
-// are shard-count independent.
+// is bit-identical to the same run with it off.
 //
 // The canonical sampled tick set for a run is
 //
 //   { interval, 2*interval, ..., min(floor_grid(horizon), ceil_grid(t_last)) }
 //
 // where t_last is the tick of the last event that actually fired. The
-// single-shard engine produces exactly this by construction. Sharded engines
-// slice conservative windows at the same grid, but a window can overrun
-// t_last by the lookahead — so samples are *pending* until the engine
-// confirms them against the next global event time at a window barrier
-// (confirm_through), and finalize() pads or trims each sampler to the
-// canonical end. Pending samples never enter retention compaction, which
-// keeps the retained tick set identical across shard counts.
+// engine's run loop samples each grid tick it passes, and finalize() pads
+// the series to the canonical end.
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -59,20 +49,18 @@ struct TelemetryConfig {
   bool watchdog = true;
 };
 
-/// Where components register probes. Gauges and invariants carry the index
-/// of the shard simulator whose thread owns the state they read (0 = the
-/// control shard; worker shard s registers as s + 1; single-shard runs use
-/// 0 for everything). Several gauges may share one series name — their
-/// values are summed into that series, which is also how per-shard
-/// contributions merge into one cluster-wide series.
+/// Where components register probes. Several gauges may share one series
+/// name — their values are summed into that series.
 class ProbeRegistry {
  public:
   using Gauge = std::function<double()>;
   /// Returns "" while healthy, else a human-readable diagnostic.
   using Check = std::function<std::string()>;
 
-  void add_gauge(std::string name, std::uint32_t shard, Gauge fn);
-  void add_invariant(std::string name, std::uint32_t shard, Check fn);
+  /// `tag` must be 0 (std::invalid_argument otherwise). The parameter is
+  /// kept only because perfbench (perfbench/cpp/layer_probe.cpp) passes it.
+  void add_gauge(std::string name, std::uint32_t tag, Gauge fn);
+  void add_invariant(std::string name, std::uint32_t tag, Check fn);
 
   [[nodiscard]] std::size_t gauge_count() const noexcept { return gauges_.size(); }
   [[nodiscard]] std::size_t invariant_count() const noexcept { return invariants_.size(); }
@@ -81,12 +69,10 @@ class ProbeRegistry {
   friend class TelemetrySampler;
   struct GaugeEntry {
     std::string name;
-    std::uint32_t shard = 0;
     Gauge fn;
   };
   struct CheckEntry {
     std::string name;
-    std::uint32_t shard = 0;
     Check fn;
   };
   std::vector<GaugeEntry> gauges_;
@@ -100,9 +86,9 @@ struct InvariantViolation {
   std::string message;
 };
 
-/// The merged, export-ready result of a run: one row per retained tick, one
-/// column per series (sorted by name, so the layout is independent of probe
-/// registration order and shard count).
+/// The export-ready result of a run: one row per retained tick, one column
+/// per series (sorted by name, so the layout is independent of probe
+/// registration order).
 struct TelemetryTable {
   Tick interval = 0;
   std::vector<Tick> ticks;
@@ -112,48 +98,36 @@ struct TelemetryTable {
   [[nodiscard]] bool empty() const noexcept { return ticks.empty() || names.empty(); }
 };
 
-/// Samples the probes of one shard. Driven by the engine: sample() at every
-/// grid tick the shard's simulator passes, confirm_through() at barriers
-/// once a tick is known to precede further events, finalize() after the run.
+/// Samples the registry's probes. Driven by the engine: sample() at every
+/// grid tick the simulator passes, finalize() after the run.
 class TelemetrySampler {
  public:
   TelemetrySampler() = default;
 
-  /// Binds the registry's probes with matching shard index. Called once,
-  /// after all registration and before the run.
-  void bind(const ProbeRegistry& registry, std::uint32_t shard, const TelemetryConfig& config);
+  /// Binds the registry's probes. Called once, after all registration and
+  /// before the run.
+  void bind(const ProbeRegistry& registry, const TelemetryConfig& config);
 
   /// Next grid tick to sample, or kNeverTick when unbound. The engine's
-  /// slicing loops run the simulator to exactly this tick before calling
+  /// slicing loop runs the simulator to exactly this tick before calling
   /// sample().
   [[nodiscard]] Tick next_due() const noexcept {
     return bound_ ? next_due_ : kNeverTick;
   }
 
-  /// Reads every bound gauge and (watchdog on) runs every bound invariant.
-  /// `tick` must equal next_due(). The sample stays pending until confirmed.
+  /// Reads every bound gauge, (watchdog on) runs every bound invariant, and
+  /// stores the row (applying ring compaction). `tick` must equal
+  /// next_due().
   void sample(Tick tick);
-
-  /// sample() plus immediate confirmation in one step — for engines whose
-  /// ticks are canonical the moment they are taken (the single-shard run
-  /// loop), the row goes straight into retained storage, skipping the
-  /// pending stage.
-  void sample_confirmed(Tick tick);
-
-  /// Moves pending samples with tick <= `through` into retained storage
-  /// (applying ring compaction). Single-shard engines confirm immediately
-  /// after each sample; sharded engines confirm at window barriers.
-  void confirm_through(Tick through);
 
   /// Ends the run at the canonical target tick: samples any missing grid
   /// ticks up to `target` (the simulation is quiescent, so gauges read final
-  /// state), confirms everything <= target, and discards pending samples
-  /// beyond it (window-lookahead overrun).
+  /// state).
   void finalize(Tick target);
 
   /// First invariant failure, if any. The sampler keeps sampling after a
-  /// violation (cursor lockstep across shards); the engine checks this at
-  /// every confirmation point and fails the run.
+  /// violation; the engine checks this after every sample and fails the
+  /// run.
   [[nodiscard]] const std::optional<InvariantViolation>& violation() const noexcept {
     return violation_;
   }
@@ -168,23 +142,19 @@ class TelemetrySampler {
     if (columns_stale_) rebuild_columns();
     return columns_;
   }
-  /// The retained samples as stored: row-major, ticks().size() x
-  /// names().size(). merge_samplers reads this instead of values() so the
-  /// per-run merge never materializes the columnar view.
-  [[nodiscard]] const std::vector<double>& row_data() const noexcept { return rows_; }
   [[nodiscard]] std::size_t series_count() const noexcept { return names_.size(); }
   [[nodiscard]] bool bound() const noexcept { return bound_; }
   [[nodiscard]] Tick interval() const noexcept { return config_.interval; }
 
-  /// Writes the last `rows` retained samples (plus any pending ones) as a
-  /// small table — the watchdog's "series dump" on a violation.
+  /// The retained samples as an export-ready table, columns sorted by name.
+  /// Reads the row-major storage directly, never the columnar view.
+  [[nodiscard]] TelemetryTable table() const;
+
+  /// Writes the last `rows` retained samples as a small table — the
+  /// watchdog's "series dump" on a violation.
   void dump_tail(std::ostream& out, std::size_t rows = 16) const;
 
  private:
-  /// Sweeps the gauges into scratch_row_ and runs the invariants; the
-  /// shared first half of sample() / sample_confirmed().
-  void read_row(Tick tick);
-  void commit_row(Tick tick, const std::vector<double>& row);
   void compact();
   void rebuild_columns() const;
 
@@ -211,24 +181,10 @@ class TelemetrySampler {
   mutable std::vector<std::vector<double>> columns_;
   mutable bool columns_stale_ = false;
 
-  /// Samples awaiting confirmation (bounded by lookahead / interval + 1).
-  struct Pending {
-    Tick tick = 0;
-    std::vector<double> row;
-  };
-  std::deque<Pending> pending_;
   std::vector<double> scratch_row_;
-  /// Recycled Pending rows: sampling allocates nothing in steady state.
-  std::vector<std::vector<double>> row_pool_;
 
   std::optional<InvariantViolation> violation_;
 };
-
-/// Merges finalized per-shard samplers into one table: the union of series
-/// names (sorted), summed pointwise where several samplers carry the same
-/// name. All samplers must hold the identical retained tick sequence — the
-/// engine guarantees this by finalizing every sampler to the same target.
-[[nodiscard]] TelemetryTable merge_samplers(std::span<const TelemetrySampler* const> samplers);
 
 /// Writes `tick,time_s,<series...>` rows. Values use max round-trip
 /// precision so re-parsing loses nothing.

@@ -38,7 +38,7 @@ void BaselineScheduler::attach_extra() {
       });
 
   if (ctx_.probes != nullptr) {
-    // Offers the master sent and has not heard back about (control shard).
+    // Offers the master sent and has not heard back about.
     ctx_.probes->add_gauge("sched.offers_in_flight", 0, [this] {
       return static_cast<double>(in_flight_.size());
     });

@@ -109,15 +109,14 @@ void BiddingScheduler::attach(const SchedulerContext& ctx) {
   }
 
   if (ctx_.probes != nullptr) {
-    // Master-side contest pressure (control shard).
+    // Master-side contest pressure.
     ctx_.probes->add_gauge("sched.contests_open", 0, [this] {
       return static_cast<double>(contests_.size());
     });
     if (config_.fanout.cached()) {
       // Believed-vs-actual backlog error of the load cache, as a signed sum:
-      // the control shard contributes +sum(cached backlog) and each worker's
-      // own shard contributes -its actual backlog, so the merged series is
-      // (believed - actual) seconds without any cross-shard read.
+      // one gauge contributes +sum(cached backlog) and one per worker
+      // -its actual backlog, so the series is (believed - actual) seconds.
       ctx_.probes->add_gauge("cache.load_error_s", 0, [this] {
         double believed = 0.0;
         for (std::size_t w = 0; w < cache_.size(); ++w) {
@@ -128,7 +127,7 @@ void BiddingScheduler::attach(const SchedulerContext& ctx) {
       for (WorkerIndex w = 0; w < ctx_.worker_count(); ++w) {
         cluster::WorkerNode* worker = ctx_.workers[w];
         if (worker == nullptr) continue;
-        ctx_.probes->add_gauge("cache.load_error_s", ctx_.worker_shard(w),
+        ctx_.probes->add_gauge("cache.load_error_s", 0,
                                [worker] { return -worker->backlog_cost_s(); });
       }
     }
@@ -291,8 +290,8 @@ void BiddingScheduler::worker_handle_placement(WorkerIndex w, const DirectPlacem
   const PlacementResponse resp{p.job.id, w, accept,
                                accept ? worker->backlog_cost_s() : backlog_before_s};
 
-  // Same reply shape as a bid: compute delay on the worker's own simulator
-  // (its shard, when sharded), then cross back through the broker.
+  // Same reply shape as a bid: compute delay at the worker, then cross back
+  // through the broker.
   const Tick delay = worker->sample_bid_delay();
   auto reply = [this, w, resp] {
     cluster::WorkerNode* again = ctx_.workers[w];
@@ -300,7 +299,7 @@ void BiddingScheduler::worker_handle_placement(WorkerIndex w, const DirectPlacem
     ctx_.broker->send(ctx_.worker_nodes[w], ctx_.master_node, placement_acks_box_, resp);
   };
   static_assert(sim::InlineAction::fits_inline<decltype(reply)>());
-  ctx_.worker_sim(w)->schedule_after(delay, std::move(reply));
+  ctx_.sim->schedule_after(delay, std::move(reply));
 }
 
 void BiddingScheduler::trace_msgs_per_job() {
@@ -423,9 +422,8 @@ void BiddingScheduler::worker_handle_bid_request(WorkerIndex w, const BidRequest
   if (config_.learn_correction) cost_s *= correction_[w];
 
   // The bidding thread needs time to compute the estimate and may straggle;
-  // the reply then crosses the network back to the master. Worker-side
-  // work stays on the worker's own simulator/metrics (its shard, when
-  // sharded); the send crosses back through the broker.
+  // the reply then crosses the network back to the master through the
+  // broker.
   const Tick delay = worker->sample_bid_delay();
   BidSubmission bid{request.contest, request.job.id, w, cost_s};
   // Cached fan-out: piggy-back the raw backlog so even fallback contests
@@ -434,11 +432,11 @@ void BiddingScheduler::worker_handle_bid_request(WorkerIndex w, const BidRequest
   auto submit = [this, w, bid] {
     cluster::WorkerNode* again = ctx_.workers[w];
     if (again->failed()) return;
-    ++ctx_.worker_metrics_for(w)->worker(w).bids_submitted;
+    ++ctx_.metrics->worker(w).bids_submitted;
     ctx_.broker->send(ctx_.worker_nodes[w], ctx_.master_node, bids_box_, bid);
   };
   static_assert(sim::InlineAction::fits_inline<decltype(submit)>());
-  ctx_.worker_sim(w)->schedule_after(delay, std::move(submit));
+  ctx_.sim->schedule_after(delay, std::move(submit));
 }
 
 void BiddingScheduler::master_receive_bid(const BidSubmission& bid) {
@@ -604,7 +602,7 @@ void BiddingScheduler::on_assignment_void(workflow::JobId id, cluster::WorkerInd
 
 void BiddingScheduler::on_worker_capacity(cluster::WorkerIndex w) {
   if (!config_.fanout.cached()) return;
-  // Worker-side (its shard, when sharded): a queue slot freed — report the
+  // Worker-side: a queue slot freed — report the
   // authoritative backlog so the master's cache decays toward truth even
   // when no placement conversation is in flight. This is the cache's
   // heartbeat channel; master-side counting happens on receipt.

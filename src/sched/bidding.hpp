@@ -90,11 +90,6 @@ class BiddingScheduler final : public Scheduler {
     return contests_.size() + backlog_.size() + placements_.size();
   }
 
-  /// The bidding worker side only touches the worker's own state and the
-  /// ctx shard accessors, so it is shard-safe — except in learned-correction
-  /// mode, where workers read the correction table the master writes.
-  [[nodiscard]] bool supports_sharding() const override { return !config_.learn_correction; }
-
   /// Contest-level counters for the ablation benches.
   struct Stats {
     std::uint64_t contests_opened = 0;

@@ -420,11 +420,6 @@ std::size_t FederatedScheduler::pending_jobs() const {
   return pending;
 }
 
-bool FederatedScheduler::supports_sharding() const {
-  return std::all_of(inst_.begin(), inst_.end(),
-                     [](const Instance& inst) { return inst.policy->supports_sharding(); });
-}
-
 void FederatedScheduler::count(const char* name, double delta) const {
   if (ctx_.metrics != nullptr) ctx_.metrics->registry().counter(name).add(delta);
 }

@@ -75,7 +75,6 @@ class FederatedScheduler : public Scheduler {
   void on_scheduler_crash(std::uint32_t instance) override;
   void on_scheduler_recovered(std::uint32_t instance) override;
   [[nodiscard]] std::size_t pending_jobs() const override;
-  [[nodiscard]] bool supports_sharding() const override;
 
   [[nodiscard]] const FederationStats& stats() const noexcept { return stats_; }
 

@@ -68,38 +68,8 @@ struct SchedulerContext {
   }
 
   /// Telemetry probe registry (null when telemetry is off). Schedulers
-  /// register read-only gauges/invariants in attach(); gauges tagged with a
-  /// worker's shard (see worker_shard()) are sampled on that shard's thread
-  /// and must read only that worker's state.
+  /// register read-only gauges/invariants in attach().
   obs::ProbeRegistry* probes = nullptr;
-
-  /// Probe shard tag per worker: the index of the worker's simulator in the
-  /// engine's shard array (0 = the master/control shard). Empty in
-  /// single-shard runs — everything lives on shard 0 then.
-  std::vector<std::uint32_t> worker_shards;
-
-  /// The telemetry shard tag gauges over worker `w`'s state must use.
-  [[nodiscard]] std::uint32_t worker_shard(cluster::WorkerIndex w) const {
-    return worker_shards.empty() ? 0u : worker_shards[w];
-  }
-
-  /// Sharded runs: per-worker event queue and metrics sink. Worker-side
-  /// handlers (which run on the worker's shard thread) must schedule and
-  /// record through these instead of `sim`/`metrics`, which belong to the
-  /// master's shard. Empty in single-shard runs — worker_sim()/
-  /// worker_metrics() fall back to the shared objects.
-  std::vector<sim::Simulator*> worker_sims;
-  std::vector<metrics::MetricsCollector*> worker_metrics;
-
-  /// The simulator worker-side logic of `w` must schedule on.
-  [[nodiscard]] sim::Simulator* worker_sim(cluster::WorkerIndex w) const {
-    return worker_sims.empty() ? sim : worker_sims[w];
-  }
-
-  /// The metrics sink worker-side logic of `w` must record into.
-  [[nodiscard]] metrics::MetricsCollector* worker_metrics_for(cluster::WorkerIndex w) const {
-    return worker_metrics.empty() ? metrics : worker_metrics[w];
-  }
 
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers.size(); }
 
@@ -168,11 +138,9 @@ class Scheduler {
   /// to a worker (used by the engine's quiescence diagnostics).
   [[nodiscard]] virtual std::size_t pending_jobs() const { return 0; }
 
-  /// Whether this scheduler's worker-side handlers are safe to run on shard
-  /// threads: they must confine themselves to the worker's own state plus
-  /// the ctx worker_sim()/worker_metrics_for() accessors, and communicate
-  /// with the master only through the broker. Default: no — the engine
-  /// rejects `shards > 1` for schedulers that haven't opted in.
+  /// No caller. Kept only because perfbench compiles against it:
+  /// perfbench/cpp/layer_probe.hpp overrides it, and perfbench/tests counts
+  /// this interface's virtuals.
   [[nodiscard]] virtual bool supports_sharding() const { return false; }
 };
 

@@ -23,7 +23,7 @@ void SparkLikeScheduler::attach(const SchedulerContext& ctx) {
   }
 
   if (ctx_.probes != nullptr) {
-    // Tasks of the current wave still running (control shard).
+    // Tasks of the current wave still running.
     ctx_.probes->add_gauge("sched.wave_outstanding", 0, [this] {
       return static_cast<double>(outstanding_);
     });

@@ -112,8 +112,8 @@ class Simulator {
   }
 
   /// Timestamp of the earliest pending event, or kNeverTick when the queue
-  /// is empty. The sharded engine's window loop uses this to size each
-  /// conservative time window without firing anything.
+  /// is empty. The engine's telemetry loop uses this to stop sampling once
+  /// nothing is left to fire.
   [[nodiscard]] Tick next_event_at() const noexcept {
     return heap_.size() <= kRoot ? kNeverTick : heap_[kRoot].at;
   }

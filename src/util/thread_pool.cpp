@@ -71,41 +71,4 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void ThreadPool::parallel_for(std::size_t count, std::size_t chunk,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  if (chunk == 0) {
-    // ~4 chunks per worker: enough slack that a straggler chunk doesn't idle
-    // the rest of the pool, without hammering the dispenser.
-    chunk = std::max<std::size_t>(1, count / (size() * 4));
-  }
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const auto body = [&] {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk);
-      if (begin >= count || failed.load()) return;
-      try {
-        fn(begin, std::min(begin + chunk, count));
-      } catch (...) {
-        const std::scoped_lock lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  const std::size_t chunks = (count + chunk - 1) / chunk;
-  const std::size_t lanes = std::min(chunks, size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(lanes);
-  for (std::size_t lane = 1; lane < lanes; ++lane) futures.push_back(submit(body));
-  body();
-  for (auto& future : futures) future.get();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 }  // namespace dlaja

@@ -46,16 +46,6 @@ class ThreadPool {
   /// iterations complete. Exceptions from iterations are rethrown (first one).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Chunked variant: runs `fn(begin, end)` over half-open ranges carved from
-  /// [0, count) by an atomic dispenser, `chunk` indices at a time (0 picks a
-  /// chunk size that gives each worker ~4 chunks, balancing skew against
-  /// dispenser traffic). Use when per-index work is small enough that the
-  /// one-fetch_add-per-index cost of the overload above shows up, or when the
-  /// body wants to batch per-range setup. Blocks until all ranges complete;
-  /// the first exception is rethrown.
-  void parallel_for(std::size_t count, std::size_t chunk,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
   void worker_loop();
 

@@ -28,6 +28,29 @@ TEST(Engine, RejectsBadConstruction) {
   EXPECT_THROW(Engine(uniform_fleet(1), nullptr), std::invalid_argument);
 }
 
+// EngineConfig::shards is kept only because perfbench sets it: a run is one
+// thread, so any count but 1 is rejected up front.
+TEST(ShardConfig, RejectsZeroShards) {
+  EngineConfig config;
+  config.shards = 0;
+  EXPECT_THROW(Engine(uniform_fleet(3), std::make_unique<sched::BiddingScheduler>(), config),
+               std::invalid_argument);
+}
+
+TEST(ShardConfig, RejectsMoreThanOneShard) {
+  for (const std::size_t shards : {2u, 4u}) {
+    EngineConfig config;
+    config.shards = shards;
+    EXPECT_THROW(Engine(uniform_fleet(5), std::make_unique<sched::BiddingScheduler>(), config),
+                 std::invalid_argument)
+        << shards;
+  }
+  EngineConfig config;
+  config.shards = 1;
+  EXPECT_NO_THROW(
+      Engine(uniform_fleet(5), std::make_unique<sched::BiddingScheduler>(), config));
+}
+
 TEST(Engine, RunIsSingleShot) {
   Engine engine(uniform_fleet(1), std::make_unique<sched::BiddingScheduler>(), noiseless());
   (void)engine.run(distinct_jobs(1, 10.0));

@@ -1,6 +1,6 @@
 // Property matrix over the engine's optional modes: every combination of
-// (scheduler × shared bandwidth × reassignment) must preserve the
-// conservation laws, with and without a mid-run worker failure.
+// (scheduler × shared bandwidth × lease-based reassignment) must preserve
+// the conservation laws, with and without a mid-run worker failure.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ TEST_P(EngineOptions, ConservationHoldsWithFailure) {
   config.seed = 99;
   config.shared_bandwidth = shared;
   config.origin_capacity_mbps = 120.0;
-  config.reassign_on_failure = reassign;
+  config.lifecycle.enabled = reassign;
 
   core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler(scheduler), config);
   engine.fail_worker_at(1, ticks_from_seconds(12.0));
@@ -35,6 +35,8 @@ TEST_P(EngineOptions, ConservationHoldsWithFailure) {
 
   if (reassign) {
     EXPECT_EQ(report.jobs_completed, 18u);
+    EXPECT_EQ(report.jobs_lost, 0u);
+    EXPECT_GT(engine.jobs_retried(), 0u);
   } else {
     EXPECT_LE(report.jobs_completed, 18u);
     EXPECT_GT(report.jobs_completed, 0u);

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "sched/bidding.hpp"
+#include "util/json.hpp"
 
 namespace dlaja::core {
 namespace {
@@ -138,6 +142,50 @@ TEST(Experiment, SpecNameHelpers) {
   EXPECT_EQ(spec.fleet_name(), "all-equal");
   spec.custom_fleet = std::vector<cluster::WorkerConfig>{};
   EXPECT_EQ(spec.fleet_name(), "custom");
+}
+
+// ExperimentSpec::shards is kept only because perfbench reads it: validate()
+// reports any count but 1, and the scenario form has no key for it.
+TEST(ShardSpec, ValidateCatchesBadShardCounts) {
+  ExperimentSpec spec;
+  spec.worker_count = 4;
+  EXPECT_TRUE(spec.validate().empty());
+  for (const std::size_t shards : {0u, 2u, 8u}) {
+    spec.shards = shards;
+    const std::vector<ValidationIssue> issues = spec.validate();
+    ASSERT_EQ(issues.size(), 1u) << shards;
+    EXPECT_EQ(issues[0].field, "shards");
+    EXPECT_NE(issues[0].message.find("must be 1"), std::string::npos) << issues[0].message;
+  }
+}
+
+TEST(ShardSpec, ShardsKeyIsUnknown) {
+  try {
+    (void)ExperimentSpec::from_json(json::parse(R"({"shards": 2})"));
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("unknown key 'shards'"), std::string::npos) << what;
+    // The valid-key listing names the kept keys but no longer 'shards'.
+    const std::string listing = what.substr(what.find("(valid: "));
+    EXPECT_NE(listing.find("flat_control_plane"), std::string::npos) << what;
+    EXPECT_EQ(listing.find("shards"), std::string::npos) << what;
+  }
+}
+
+TEST(ShardSpec, ScenarioRoundTripsFlatControlPlaneButNotShards) {
+  ExperimentSpec spec;
+  spec.name = "flat-rt";
+  spec.flat_control_plane = true;
+  spec.shards = 4;
+  const std::string text = spec.to_json().dump();
+  EXPECT_EQ(text.find("shards"), std::string::npos) << text;
+  const ExperimentSpec back = ExperimentSpec::from_json(spec.to_json());
+  EXPECT_TRUE(back.flat_control_plane);
+  EXPECT_EQ(back.shards, 1u);
+
+  // Default values stay out of the serialized form.
+  EXPECT_EQ(ExperimentSpec{}.to_json().dump().find("flat_control_plane"), std::string::npos);
 }
 
 }  // namespace

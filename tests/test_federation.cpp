@@ -87,20 +87,18 @@ struct Golden {
   std::uint64_t events_fired;
 };
 
-void expect_golden(const std::string& scheduler, std::size_t shards, const Golden& golden) {
+void expect_golden(const std::string& scheduler, const Golden& golden) {
   const auto workload = workload::generate_workload(
       workload::make_workload_spec(workload::JobConfig::k80Small), SeedSequencer(42));
   core::EngineConfig config;
   config.seed = 42;
-  config.shards = shards;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow, 8),
                       sched::SchedulerSpec::parse(scheduler).build(42), config);
   const metrics::RunReport report = engine.run(workload.jobs);
   const std::uint64_t events_fired = engine.simulator().fired();
   // Full-precision actuals so a deliberate re-golden can copy them.
-  std::printf("golden[%s/shards=%zu] = {%a, %a, %a, %lluu, %lluu, %lluu, %lluu}\n",
-              scheduler.c_str(), shards, report.exec_time_s, report.data_load_mb,
-              report.avg_turnaround_s,
+  std::printf("golden[%s] = {%a, %a, %a, %lluu, %lluu, %lluu, %lluu}\n", scheduler.c_str(),
+              report.exec_time_s, report.data_load_mb, report.avg_turnaround_s,
               static_cast<unsigned long long>(report.cache_misses),
               static_cast<unsigned long long>(report.jobs_completed),
               static_cast<unsigned long long>(report.messages_delivered),
@@ -116,27 +114,21 @@ void expect_golden(const std::string& scheduler, std::size_t shards, const Golde
 
 TEST(FederationGolden, PartitionsOneMatchesSeed) {
   // partitions=1 through the Engine: must equal the plain bidding kernel.
-  expect_golden("bidding:fed.partitions=1", 1,
+  expect_golden("bidding:fed.partitions=1",
                 Golden{0x1.d646553ac4f7fp+7, 0x1.8bc3de6a27b07p+13,
                        0x1.b09160d40e98dp+1, 52u, 120u, 2160u, 3424u});
 }
 
 TEST(FederationGolden, PartitionsTwoMatchesSeed) {
-  expect_golden("bidding:fed.partitions=2", 1,
+  expect_golden("bidding:fed.partitions=2",
                 Golden{0x1.dbfeaa4b9884cp+7, 0x1.8db3a1063327ep+13,
                        0x1.27efda32e6dd3p+2, 55u, 120u, 1484u, 2346u});
 }
 
 TEST(FederationGolden, PartitionsFourWithSpillMatchesSeed) {
-  expect_golden("bidding:fed.partitions=4,fed.spill_threshold=1.2", 1,
+  expect_golden("bidding:fed.partitions=4,fed.spill_threshold=1.2",
                 Golden{0x1.35f07357e670ep+8, 0x1.8efe22c390223p+13,
                        0x1.e1db7e525d0bcp+2, 57u, 120u, 1492u, 2190u});
-}
-
-TEST(FederationGolden, PartitionsTwoOnFourShardsMatchesSeed) {
-  expect_golden("bidding:fed.partitions=2", 4,
-                Golden{0x1.db5c9491f2dc3p+7, 0x1.8db3a1063327ep+13,
-                       0x1.0fda6de6d4fd7p+2, 55u, 120u, 1482u, 1088u});
 }
 
 // ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ class ScopedInjection {
 CheckOptions cheap() {
   CheckOptions options;
   options.determinism = false;
-  options.shard_equivalence = false;
   return options;
 }
 
@@ -50,11 +49,10 @@ TEST(RandomSpec, AlwaysValidatesAndSerializes) {
 }
 
 TEST(CheckSpec, CleanSpecPassesAllInvariants) {
-  // Full options on one small closed spec: watchdog run, determinism
-  // re-run, and (if eligible) the shard diff must all come back clean.
-  const core::ExperimentSpec spec = random_spec(1, 3);  // index 3: equivalence cell
-  ASSERT_EQ(spec.scheduler, "bidding");
-  ASSERT_TRUE(spec.flat_control_plane);
+  // Full options on one small closed spec: the watchdog run, the run-end
+  // gates and the determinism re-run must all come back clean.
+  const core::ExperimentSpec spec = random_spec(1, 2);
+  ASSERT_FALSE(spec.open_arrivals.has_value());
   const auto violation = check_spec(spec, {});
   EXPECT_FALSE(violation.has_value()) << violation->invariant << ": " << violation->detail;
 }
@@ -74,7 +72,6 @@ TEST(CheckSpec, InjectedConservationBugIsCaught) {
   spec.custom_workload->job_count = 48;
   spec.worker_count = 6;
   spec.scheduler = "bidding";
-  spec.shards = 1;
   const auto violation = check_spec(spec, cheap());
   ASSERT_TRUE(violation.has_value());
   EXPECT_EQ(violation->invariant, "jobs.conservation");

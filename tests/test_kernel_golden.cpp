@@ -38,6 +38,7 @@ metrics::RunReport run_cell(const std::string& scheduler, std::uint64_t seed,
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
                       sched::make_scheduler(scheduler), config);
   metrics::RunReport report = engine.run(workload.jobs);
+  EXPECT_TRUE(engine.broker().stats().conserved());
   *events_fired = engine.simulator().fired();
   return report;
 }
@@ -82,6 +83,27 @@ TEST(KernelGolden, BiddingSeed7MatchesSeedImplementation) {
   expect_matches("bidding", 7,
                  Golden{0x1.f147852f7f499p+7, 0x1.96b08cb7aa73dp+13, 0x1.1a095cc3de9fdp+2,
                         0x1.30220ef63f62fp-1, 54u, 120u, 1440u, 2347u});
+}
+
+TEST(ShardGolden, SingleShardMatchesClassicKernel) {
+  // EngineConfig::shards accepts only 1; setting it explicitly must
+  // reproduce the bidding/42 golden above bit for bit.
+  const auto workload = workload::generate_workload(
+      workload::make_workload_spec(workload::JobConfig::k80Small), SeedSequencer(42));
+  core::EngineConfig config;
+  config.seed = 42;
+  config.shards = 1;
+  core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
+                      sched::make_scheduler("bidding"), config);
+  const metrics::RunReport report = engine.run(workload.jobs);
+  EXPECT_TRUE(engine.broker().stats().conserved());
+  EXPECT_EQ(report.exec_time_s, 0x1.d6922fad6cb53p+7);
+  EXPECT_EQ(report.data_load_mb, 0x1.8bc3de6a27b07p+13);
+  EXPECT_EQ(report.avg_turnaround_s, 0x1.dd53b62ac9d82p+1);
+  EXPECT_EQ(report.fairness_index, 0x1.ff39dd442f14ap-2);
+  EXPECT_EQ(report.cache_misses, 52u);
+  EXPECT_EQ(report.jobs_completed, 120u);
+  EXPECT_EQ(report.messages_delivered, 1440u);
 }
 
 TEST(KernelGolden, SameSeedTwiceIsBitIdentical) {

@@ -157,44 +157,5 @@ TEST(Histogram, EmptyPercentileIsZero) {
   }
 }
 
-TEST(Histogram, AbsorbMatchesSingleHistogramRecording) {
-  // Folding shard-local histograms must look like recording every sample
-  // into one histogram: identical count/sum/min/max and percentiles.
-  Histogram a, b, all;
-  const double samples_a[] = {0.001, 0.5, 2.0, 7.5};
-  const double samples_b[] = {0.02, 120.0, 0.25};
-  for (const double v : samples_a) {
-    a.record(v);
-    all.record(v);
-  }
-  for (const double v : samples_b) {
-    b.record(v);
-    all.record(v);
-  }
-  Histogram merged;
-  merged.absorb(a);
-  merged.absorb(b);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_DOUBLE_EQ(merged.sum(), all.sum());
-  EXPECT_EQ(merged.min(), all.min());
-  EXPECT_EQ(merged.max(), all.max());
-  for (const double p : {10.0, 50.0, 90.0, 99.0}) {
-    EXPECT_EQ(merged.percentile(p), all.percentile(p)) << "p=" << p;
-  }
-
-  // Absorbing an empty histogram is a no-op, including on min/max.
-  merged.absorb(Histogram{});
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_EQ(merged.min(), all.min());
-  EXPECT_EQ(merged.max(), all.max());
-
-  // Absorbing into an empty histogram copies the other side's extremes.
-  Histogram fresh;
-  fresh.absorb(b);
-  EXPECT_EQ(fresh.count(), 3u);
-  EXPECT_EQ(fresh.min(), 0.02);
-  EXPECT_EQ(fresh.max(), 120.0);
-}
-
 }  // namespace
 }  // namespace dlaja::metrics

@@ -233,7 +233,7 @@ TEST(RunStream, RetiredAggregatesMatchClosedBatchOnSameJobs) {
 }
 
 TEST(RunStream, MemoryStaysBoundedByRetirement) {
-  // 5000 arrivals through a single-shard streaming run: completed jobs are
+  // 5000 arrivals through a streaming run: completed jobs are
   // folded into RetiredJobStats, so the live-record map stays small.
   OpenArrivalSpec spec;
   spec.rate_per_s = 40.0;

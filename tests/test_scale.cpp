@@ -260,17 +260,15 @@ struct CachedGolden {
   double events_fired;
 };
 
-void expect_cached_golden(std::size_t shards, const CachedGolden& golden) {
-  core::ExperimentSpec spec = cached_cell("bidding:fanout=cached:4");
-  spec.shards = shards;
+void expect_cached_golden(const CachedGolden& golden) {
+  const core::ExperimentSpec spec = cached_cell("bidding:fanout=cached:4");
   const auto reports = core::run_experiment(spec);
   ASSERT_EQ(reports.size(), 1u);
   const metrics::RunReport& report = reports[0];
   // Dump actuals in full precision so a deliberate re-golden can copy them
   // from the failure log.
-  std::printf("cached_golden[%zu] = {%a, %a, %lluu, %lluu, %a, %a}\n", shards,
-              report.exec_time_s, report.data_load_mb,
-              static_cast<unsigned long long>(report.jobs_completed),
+  std::printf("cached_golden = {%a, %a, %lluu, %lluu, %a, %a}\n", report.exec_time_s,
+              report.data_load_mb, static_cast<unsigned long long>(report.jobs_completed),
               static_cast<unsigned long long>(report.messages_delivered),
               report.stat("fanout.placements"), report.stat("sim.events_fired"));
   EXPECT_EQ(report.exec_time_s, golden.exec_time_s);
@@ -282,13 +280,8 @@ void expect_cached_golden(std::size_t shards, const CachedGolden& golden) {
 }
 
 TEST(ScaleCachedGolden, SingleShardIsBitReproducible) {
-  expect_cached_golden(1, CachedGolden{0x1.39d2dfb506dd7p+7, 0x1.439ca103dc7d3p+14, 60u,
-                                       240u, 0x1.ep+5, 0x1.ep+8});
-}
-
-TEST(ScaleCachedGolden, FourShardsIsBitReproducible) {
-  expect_cached_golden(4, CachedGolden{0x1.3a9be78e1932dp+7, 0x1.439ca103dc7d3p+14, 60u,
-                                       240u, 0x1.ep+5, 0x1.ep+8});
+  expect_cached_golden(CachedGolden{0x1.39d2dfb506dd7p+7, 0x1.439ca103dc7d3p+14, 60u, 240u,
+                                    0x1.ep+5, 0x1.ep+8});
 }
 
 // --- fan-out policy parsing ----------------------------------------------

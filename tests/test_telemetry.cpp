@@ -1,7 +1,7 @@
 // In-run telemetry: sampler unit tests, engine integration, determinism.
 //
 // The telemetry subsystem promises (a) the sampled tick set is exactly the
-// canonical grid regardless of shard count, (b) ring retention compacts to
+// canonical grid, (b) ring retention compacts to
 // a doubled stride without ever exceeding capacity, (c) the watchdog fails
 // the run naming the offending tick and probe, (d) a fault plan that
 // crashes a worker mid-lease keeps every registered invariant clean, and
@@ -44,8 +44,23 @@ TEST(TelemetrySampler, UnboundIsInert) {
 TEST(TelemetrySampler, BindRejectsBadConfig) {
   obs::ProbeRegistry registry;
   obs::TelemetrySampler sampler;
-  EXPECT_THROW(sampler.bind(registry, 0, small_config(0)), std::invalid_argument);
-  EXPECT_THROW(sampler.bind(registry, 0, small_config(10, 1)), std::invalid_argument);
+  EXPECT_THROW(sampler.bind(registry, small_config(0)), std::invalid_argument);
+  EXPECT_THROW(sampler.bind(registry, small_config(10, 1)), std::invalid_argument);
+}
+
+TEST(ProbeRegistry, RejectsNonzeroTag) {
+  // The tag parameter is kept only because perfbench passes it; a run has
+  // one sampler, so any tag but 0 is a caller bug.
+  obs::ProbeRegistry registry;
+  EXPECT_THROW(registry.add_gauge("g", 1, [] { return 0.0; }), std::invalid_argument);
+  EXPECT_THROW(registry.add_invariant("i", 1, [] { return std::string(); }),
+               std::invalid_argument);
+  EXPECT_EQ(registry.gauge_count(), 0u);
+  EXPECT_EQ(registry.invariant_count(), 0u);
+  registry.add_gauge("g", 0, [] { return 0.0; });
+  registry.add_invariant("i", 0, [] { return std::string(); });
+  EXPECT_EQ(registry.gauge_count(), 1u);
+  EXPECT_EQ(registry.invariant_count(), 1u);
 }
 
 TEST(TelemetrySampler, SamplesOnGridAndSumsSharedNames) {
@@ -54,19 +69,17 @@ TEST(TelemetrySampler, SamplesOnGridAndSumsSharedNames) {
   registry.add_gauge("x", 0, [&a] { return a; });
   registry.add_gauge("x", 0, [&b] { return b; });
   registry.add_gauge("y", 0, [&other] { return other; });
-  registry.add_gauge("skipped", 3, [] { return 99.0; });  // other shard
 
   obs::TelemetrySampler sampler;
-  sampler.bind(registry, 0, small_config(10));
+  sampler.bind(registry, small_config(10));
   EXPECT_EQ(sampler.next_due(), 10);
   for (Tick t = 10; t <= 40; t += 10) {
     sampler.sample(t);
-    sampler.confirm_through(t);
     a += 1.0;
   }
   ASSERT_EQ(sampler.ticks(), (std::vector<Tick>{10, 20, 30, 40}));
   ASSERT_EQ(sampler.names(), (std::vector<std::string>{"x", "y"}));
-  // Shared-name gauges sum into one series; the shard-3 gauge is not bound.
+  // Shared-name gauges sum into one series.
   EXPECT_EQ(sampler.values()[0], (std::vector<double>{11.0, 12.0, 13.0, 14.0}));
   EXPECT_EQ(sampler.values()[1], (std::vector<double>{5.0, 5.0, 5.0, 5.0}));
 }
@@ -75,11 +88,8 @@ TEST(TelemetrySampler, RingRetentionDoublesStrideUnderCapacity) {
   obs::ProbeRegistry registry;
   registry.add_gauge("v", 0, [] { return 1.0; });
   obs::TelemetrySampler sampler;
-  sampler.bind(registry, 0, small_config(5, 8));
-  for (Tick t = 5; t <= 5 * 100; t += 5) {
-    sampler.sample(t);
-    sampler.confirm_through(t);
-  }
+  sampler.bind(registry, small_config(5, 8));
+  for (Tick t = 5; t <= 5 * 100; t += 5) sampler.sample(t);
   // 100 samples into capacity 8: retention never exceeds capacity and the
   // retained ticks sit on one regular stride-times-interval grid.
   const std::vector<Tick>& ticks = sampler.ticks();
@@ -97,27 +107,17 @@ TEST(TelemetrySampler, RingRetentionDoublesStrideUnderCapacity) {
   EXPECT_LE(ticks.back(), 500u);
 }
 
-TEST(TelemetrySampler, FinalizePadsMissingTicksAndDropsOverrun) {
+TEST(TelemetrySampler, FinalizePadsMissingTicks) {
   obs::ProbeRegistry registry;
   double v = 7.0;
   registry.add_gauge("v", 0, [&v] { return v; });
-  obs::TelemetrySampler sampler;
-  sampler.bind(registry, 0, small_config(10));
-  sampler.sample(10);
-  sampler.sample(20);  // still pending
-  sampler.confirm_through(10);
-
-  // Overrun beyond the canonical target is dropped; the gap up to the
-  // target is padded from (quiescent) final state.
-  sampler.sample(30);
-  sampler.sample(40);
-  sampler.finalize(30);
-  EXPECT_EQ(sampler.ticks(), (std::vector<Tick>{10, 20, 30}));
-
+  // The gap up to the canonical target is padded from (quiescent) final
+  // state; a target already reached adds nothing.
   obs::TelemetrySampler padded;
-  padded.bind(registry, 0, small_config(10));
+  padded.bind(registry, small_config(10));
   padded.sample(10);
-  padded.confirm_through(10);
+  padded.finalize(10);
+  EXPECT_EQ(padded.ticks(), (std::vector<Tick>{10}));
   padded.finalize(40);
   EXPECT_EQ(padded.ticks(), (std::vector<Tick>{10, 20, 30, 40}));
   EXPECT_EQ(padded.values()[0], (std::vector<double>{7.0, 7.0, 7.0, 7.0}));
@@ -131,7 +131,7 @@ TEST(TelemetrySampler, WatchdogRecordsFirstViolationAndKeepsSampling) {
     return std::string("broke on call ") + std::to_string(calls);
   });
   obs::TelemetrySampler sampler;
-  sampler.bind(registry, 0, small_config(10));
+  sampler.bind(registry, small_config(10));
   sampler.sample(10);
   sampler.sample(20);
   ASSERT_TRUE(sampler.violation().has_value());
@@ -139,47 +139,32 @@ TEST(TelemetrySampler, WatchdogRecordsFirstViolationAndKeepsSampling) {
   EXPECT_EQ(sampler.violation()->probe, "always.bad");
   EXPECT_EQ(sampler.violation()->message, "broke on call 1");
   // The first violation sticks; further checks stop but the tick cursor
-  // keeps advancing in lockstep so shard merges stay aligned.
+  // keeps advancing.
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(sampler.next_due(), 30u);
   sampler.finalize(20);
   EXPECT_EQ(sampler.ticks(), (std::vector<Tick>{10, 20}));
 }
 
-TEST(TelemetryMerge, SumsAcrossSamplersAndSortsNames) {
+TEST(TelemetrySampler, TableSortsNamesAndSumsSharedSeries) {
   obs::ProbeRegistry registry;
   registry.add_gauge("b", 0, [] { return 1.0; });
-  registry.add_gauge("a", 1, [] { return 2.0; });
-  registry.add_gauge("b", 1, [] { return 3.0; });
-  obs::TelemetrySampler s0, s1;
-  s0.bind(registry, 0, small_config(10));
-  s1.bind(registry, 1, small_config(10));
-  for (obs::TelemetrySampler* s : {&s0, &s1}) {
-    s->sample(10);
-    s->sample(20);
-    s->finalize(20);
-  }
-  const obs::TelemetrySampler* both[] = {&s0, &s1};
-  const obs::TelemetryTable table = obs::merge_samplers(both);
+  registry.add_gauge("a", 0, [] { return 2.0; });
+  registry.add_gauge("b", 0, [] { return 3.0; });
+  obs::TelemetrySampler sampler;
+  EXPECT_TRUE(sampler.table().empty());  // unbound: nothing to export
+  sampler.bind(registry, small_config(10));
+  sampler.sample(10);
+  sampler.sample(20);
+  sampler.finalize(20);
+  // Registration order is b, a; the table's columns are sorted by name.
+  ASSERT_EQ(sampler.names(), (std::vector<std::string>{"b", "a"}));
+  const obs::TelemetryTable table = sampler.table();
   EXPECT_EQ(table.interval, 10u);
   EXPECT_EQ(table.ticks, (std::vector<Tick>{10, 20}));
   ASSERT_EQ(table.names, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(table.values[0], (std::vector<double>{2.0, 2.0}));
   EXPECT_EQ(table.values[1], (std::vector<double>{4.0, 4.0}));
-}
-
-TEST(TelemetryMerge, RejectsMismatchedTickSequences) {
-  obs::ProbeRegistry registry;
-  registry.add_gauge("v", 0, [] { return 1.0; });
-  registry.add_gauge("v", 1, [] { return 1.0; });
-  obs::TelemetrySampler s0, s1;
-  s0.bind(registry, 0, small_config(10));
-  s1.bind(registry, 1, small_config(10));
-  s0.sample(10);
-  s0.finalize(10);
-  s1.finalize(0);  // empty
-  const obs::TelemetrySampler* both[] = {&s0, &s1};
-  EXPECT_THROW((void)obs::merge_samplers(both), std::logic_error);
 }
 
 TEST(TelemetryExport, CsvAndJsonShapes) {
@@ -214,18 +199,16 @@ TEST(TelemetryExport, CsvAndJsonShapes) {
 // ---------------------------------------------------------------------------
 // Engine integration
 
-core::EngineConfig telemetry_config(std::uint64_t seed, std::size_t shards,
-                                    double interval_s) {
+core::EngineConfig telemetry_config(std::uint64_t seed, double interval_s) {
   core::EngineConfig config = testutil::noiseless(seed);
   config.master_link.latency_jitter_ms = 0.0;
-  config.shards = shards;
   config.telemetry.interval = ticks_from_seconds(interval_s);
   return config;
 }
 
 TEST(TelemetryEngine, SamplesOnCanonicalGrid) {
   core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
-                      telemetry_config(42, 1, 5.0));
+                      telemetry_config(42, 5.0));
   (void)engine.run(testutil::distinct_jobs(30, 150.0, 0.5));
   ASSERT_TRUE(engine.telemetry().has_value());
   const obs::TelemetryTable& table = *engine.telemetry();
@@ -251,12 +234,11 @@ TEST(TelemetryEngine, OffByDefaultLeavesNoTable) {
   EXPECT_EQ(engine.probes().gauge_count(), 0u);
 }
 
-metrics::RunReport run_jittered(std::uint64_t seed, std::size_t shards, double interval_s) {
+metrics::RunReport run_jittered(std::uint64_t seed, double interval_s) {
   const auto workload = workload::generate_workload(
       workload::make_workload_spec(workload::JobConfig::k80Small), SeedSequencer(seed));
   core::EngineConfig config;
   config.seed = seed;
-  config.shards = shards;
   if (interval_s > 0.0) config.telemetry.interval = ticks_from_seconds(interval_s);
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
                       sched::make_scheduler("bidding"), config);
@@ -278,21 +260,16 @@ TEST(TelemetryEngine, ReportBitIdenticalWithTelemetryOn) {
   // The determinism contract: sampling is read-only and RNG-free, so the
   // full jittered paper cell reproduces bit-for-bit with telemetry on, at
   // both a coarse and a pathological 1ms cadence.
-  const metrics::RunReport off = run_jittered(42, 1, 0.0);
-  expect_same_report(off, run_jittered(42, 1, 5.0));
-  expect_same_report(off, run_jittered(42, 1, 0.001));
-}
-
-TEST(TelemetryEngine, ShardedReportBitIdenticalWithTelemetryOn) {
-  const metrics::RunReport off = run_jittered(42, 4, 0.0);
-  expect_same_report(off, run_jittered(42, 4, 5.0));
+  const metrics::RunReport off = run_jittered(42, 0.0);
+  expect_same_report(off, run_jittered(42, 5.0));
+  expect_same_report(off, run_jittered(42, 0.001));
 }
 
 TEST(TelemetryEngine, CadenceDeterminism) {
   // Same run twice -> byte-identical CSV.
   const auto render = [] {
     core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
-                        telemetry_config(7, 2, 2.0));
+                        telemetry_config(7, 2.0));
     (void)engine.run(testutil::distinct_jobs(25, 180.0, 0.4));
     std::ostringstream out;
     obs::write_telemetry_csv(out, *engine.telemetry());
@@ -301,45 +278,9 @@ TEST(TelemetryEngine, CadenceDeterminism) {
   EXPECT_EQ(render(), render());
 }
 
-/// Flat contest-free cell: zero jitter, no noise, distinct resources. The
-/// merged series must be shard-count independent (exactly for per-worker
-/// series; up to float summation order for cross-shard sums).
-obs::TelemetryTable run_flat_table(std::size_t shards) {
-  core::Engine engine(testutil::uniform_fleet(8), sched::make_scheduler("bidding"),
-                      telemetry_config(11, shards, 5.0));
-  (void)engine.run(testutil::distinct_jobs(48, 150.0, 0.5));
-  EXPECT_TRUE(engine.telemetry().has_value());
-  return *engine.telemetry();
-}
-
-TEST(TelemetryEngine, FlatSeriesIndependentOfShardCount) {
-  const obs::TelemetryTable base = run_flat_table(1);
-  ASSERT_FALSE(base.empty());
-  for (const std::size_t shards : {2u, 4u}) {
-    const obs::TelemetryTable table = run_flat_table(shards);
-    ASSERT_EQ(table.ticks, base.ticks) << shards << " shards";
-    ASSERT_EQ(table.names, base.names) << shards << " shards";
-    for (std::size_t s = 0; s < base.names.size(); ++s) {
-      const bool summed_aggregate = base.names[s] == "worker.backlog_s";
-      for (std::size_t r = 0; r < base.ticks.size(); ++r) {
-        if (summed_aggregate) {
-          // Cross-shard sums associate differently; everything else (per-
-          // worker series, integer-valued counts) must match exactly.
-          EXPECT_NEAR(table.values[s][r], base.values[s][r],
-                      1e-9 * std::max(1.0, std::abs(base.values[s][r])))
-              << base.names[s] << " row " << r << " shards " << shards;
-        } else {
-          EXPECT_EQ(table.values[s][r], base.values[s][r])
-              << base.names[s] << " row " << r << " shards " << shards;
-        }
-      }
-    }
-  }
-}
-
 TEST(TelemetryEngine, WatchdogTripsNamingTickAndProbe) {
   core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"),
-                      telemetry_config(42, 1, 5.0));
+                      telemetry_config(42, 5.0));
   // Tests may inject invariants through the public registry; this one fails
   // from the second sample onwards.
   int samples = 0;
@@ -359,7 +300,7 @@ TEST(TelemetryEngine, WatchdogTripsNamingTickAndProbe) {
 }
 
 TEST(TelemetryEngine, WatchdogOffIgnoresViolations) {
-  core::EngineConfig config = telemetry_config(42, 1, 5.0);
+  core::EngineConfig config = telemetry_config(42, 5.0);
   config.telemetry.watchdog = false;
   core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"), config);
   engine.probes().add_invariant("test.injected", 0, [] { return "broken"; });
@@ -369,26 +310,22 @@ TEST(TelemetryEngine, WatchdogOffIgnoresViolations) {
 TEST(TelemetryEngine, InvariantsCleanUnderCrashMidLease) {
   // A worker crash mid-lease exercises void/retry/reassignment paths; the
   // registered conservation and cache-capacity invariants must stay green
-  // the whole run, single-shard and sharded.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    core::EngineConfig config = telemetry_config(99, shards, 1.0);
-    config.faults = fault::FaultPlan::parse("crash:w=1,at=10,down=25");
-    core::Engine engine(testutil::uniform_fleet(6), sched::make_scheduler("bidding"),
-                        config);
-    metrics::RunReport report;
-    ASSERT_NO_THROW(report = engine.run(testutil::distinct_jobs(40, 150.0, 0.5)))
-        << shards << " shards";
-    EXPECT_GT(engine.worker_crashes(), 0u);
-    EXPECT_EQ(report.jobs_lost, 0u);
-    ASSERT_TRUE(engine.telemetry().has_value());
-    EXPECT_FALSE(engine.telemetry()->empty());
-  }
+  // the whole run.
+  core::EngineConfig config = telemetry_config(99, 1.0);
+  config.faults = fault::FaultPlan::parse("crash:w=1,at=10,down=25");
+  core::Engine engine(testutil::uniform_fleet(6), sched::make_scheduler("bidding"), config);
+  metrics::RunReport report;
+  ASSERT_NO_THROW(report = engine.run(testutil::distinct_jobs(40, 150.0, 0.5)));
+  EXPECT_GT(engine.worker_crashes(), 0u);
+  EXPECT_EQ(report.jobs_lost, 0u);
+  ASSERT_TRUE(engine.telemetry().has_value());
+  EXPECT_FALSE(engine.telemetry()->empty());
 }
 
 TEST(TelemetryEngine, CachedFanoutExportsLoadErrorSeries) {
   core::Engine engine(testutil::uniform_fleet(4),
                       sched::make_scheduler("bidding:fanout=cached:2"),
-                      telemetry_config(42, 1, 5.0));
+                      telemetry_config(42, 5.0));
   (void)engine.run(testutil::distinct_jobs(30, 150.0, 0.5));
   const obs::TelemetryTable& table = *engine.telemetry();
   const auto it = std::find(table.names.begin(), table.names.end(), "cache.load_error_s");

@@ -84,66 +84,6 @@ TEST(ParallelFor, ResultsMatchSequentialReduction) {
   EXPECT_DOUBLE_EQ(total, expected);
 }
 
-TEST(ParallelForChunked, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(1000);
-  pool.parallel_for(1000, 64, [&](std::size_t begin, std::size_t end) {
-    ASSERT_LT(begin, end);
-    ASSERT_LE(end, visits.size());
-    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForChunked, HandlesCountNotDivisibleByChunk) {
-  ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  std::atomic<int> ranges{0};
-  pool.parallel_for(101, 10, [&](std::size_t begin, std::size_t end) {
-    total.fetch_add(end - begin);
-    ranges.fetch_add(1);
-  });
-  EXPECT_EQ(total.load(), 101u);
-  EXPECT_EQ(ranges.load(), 11);  // ten full chunks + the 1-wide tail
-}
-
-TEST(ParallelForChunked, AutoChunkCoversEverything) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(777);
-  pool.parallel_for(777, 0, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
-TEST(ParallelForChunked, ChunkLargerThanCountRunsOneRange) {
-  ThreadPool pool(4);
-  std::atomic<int> ranges{0};
-  std::atomic<std::size_t> total{0};
-  pool.parallel_for(5, 100, [&](std::size_t begin, std::size_t end) {
-    ranges.fetch_add(1);
-    total.fetch_add(end - begin);
-  });
-  EXPECT_EQ(ranges.load(), 1);
-  EXPECT_EQ(total.load(), 5u);
-}
-
-TEST(ParallelForChunked, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.parallel_for(0, 8, [&](std::size_t, std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ParallelForChunked, RethrowsFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100, 7,
-                                 [&](std::size_t begin, std::size_t) {
-                                   if (begin >= 49) throw std::logic_error("unlucky");
-                                 }),
-               std::logic_error);
-}
-
 TEST(ThreadPool, DestructorDrainsOutstandingWork) {
   std::atomic<int> counter{0};
   {

@@ -1,9 +1,9 @@
 // dlaja_fuzz — seeded scenario fuzzer.
 //
 // Sweeps deterministic random scenarios (workload × fault plan × fleet
-// shape × scheduler config × shard count) through the simulator with the
-// telemetry watchdog armed, checking the conservation, broker-conservation,
-// cache-capacity, bit-determinism and shard-equivalence invariants. On a
+// shape × scheduler config) through the simulator with the telemetry
+// watchdog armed, checking the conservation, broker-conservation,
+// cache-capacity, bit-determinism and federation-identity invariants. On a
 // violation the scenario is shrunk to a minimal reproducing spec, written
 // to --out-dir, and a one-line repro command is printed.
 //
@@ -36,14 +36,12 @@ int main(int argc, char** argv) {
   args.add_option("max-shrink", "120", "max candidate checks during shrinking");
   args.add_option("log-level", "error", "log verbosity: trace|debug|info|warn|error|off");
   args.add_flag("no-determinism", "skip the run-twice bit-determinism check");
-  args.add_flag("no-shard-diff", "skip the shards=1-vs-N equivalence check");
   args.add_flag("verbose", "one line per scenario instead of a progress dot");
   if (!args.parse(argc, argv)) return 1;
   set_log_level(parse_log_level(args.get("log-level")));
 
   fuzz::CheckOptions check;
   check.determinism = !args.given("no-determinism");
-  check.shard_equivalence = !args.given("no-shard-diff");
 
   if (!args.get("check").empty()) {
     const std::string path = args.get("check");

@@ -8,7 +8,7 @@
 //   dlaja_run --scheduler baseline --jobs 240 --iters 5 --noise lognormal:0.5
 //   dlaja_run --scheduler bidding --estimation historic --csv runs.csv
 //   dlaja_run --scenario examples/scenarios/paper_bidding.json
-//   dlaja_run --scenario federated_2x.json --set scheduler.fanout=cached:8 \
+//   dlaja_run --scenario federated_2x.json --set scheduler.fanout=cached:8
 //             --set scheduler.federation.partitions=4
 //
 // Spec sources compose by one precedence rule: flags < scenario < --set.
@@ -66,9 +66,6 @@ int main(int argc, char** argv) {
   args.add_option("trace", "", "write a Chrome trace-event JSON of a detail run to this file");
   args.add_option("trace-csv", "", "write the detail run's trace events as CSV to this file");
   args.add_option("log-level", "warn", "log verbosity: trace|debug|info|warn|error|off");
-  args.add_option("shards", "",
-                  "worker shards for the parallel kernel (1 = classic single-threaded "
-                  "kernel); also overrides a scenario's 'shards' field");
   args.add_option("telemetry-interval", "",
                   "sample in-run telemetry gauges every this many simulated seconds "
                   "(0 = off); also overrides a scenario's 'telemetry' interval");
@@ -79,8 +76,8 @@ int main(int argc, char** argv) {
                   "write the detail run's telemetry series as JSON to this file");
   args.add_flag("no-carry", "do not carry caches across iterations");
   args.add_flag("flat-latency",
-                "zero all latency jitter (with --noise none, reports become "
-                "independent of the shard count)");
+                "zero all latency jitter (with --noise none, no per-message random "
+                "draw remains)");
   if (!args.parse(argc, argv)) return 1;
   set_log_level(parse_log_level(args.get("log-level")));
 
@@ -201,10 +198,9 @@ int main(int argc, char** argv) {
   }
   if (!spec.name.empty()) std::cout << "scenario: " << spec.name << "\n";
 
-  // --shards / --flat-latency / --telemetry-interval apply on top of either
-  // source, so one scenario file can be diffed across shard counts or probed
-  // with telemetry (the CI shard-smoke and telemetry-smoke jobs do).
-  if (args.given("shards")) spec.shards = static_cast<std::size_t>(args.get_int("shards"));
+  // --flat-latency / --telemetry-interval apply on top of either source, so
+  // one scenario file can be probed with telemetry (the CI telemetry-smoke
+  // job does).
   if (args.given("flat-latency")) spec.flat_control_plane = true;
   if (args.given("telemetry-interval")) {
     spec.telemetry_interval_s = args.get_double("telemetry-interval");
@@ -322,7 +318,6 @@ int main(int argc, char** argv) {
     config.faults = spec.faults;
     config.lifecycle = spec.lifecycle;
     config.coalesce_deliveries = spec.coalesce_deliveries;
-    config.shards = spec.shards;
     if (want_telemetry) {
       config.telemetry.interval = ticks_from_seconds(spec.telemetry_interval_s);
       config.telemetry.capacity = spec.telemetry_capacity;
