@@ -148,6 +148,7 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
     };
   }
   ctx.fault_aware = faults_on || config_.lifecycle.enabled;
+  ctx.fleet_epoch = &fleet_epoch_;
   if (telemetry_on()) ctx.probes = &probes_;
   scheduler_->attach(ctx);
   if (telemetry_on()) register_probes();
@@ -195,6 +196,7 @@ void Engine::apply_crash(WorkerIndex w) {
   if (target->failed()) return;  // overlapping schedules: already down
   DLAJA_LOG(kInfo, "engine") << sim_.log_prefix() << "worker " << w << " failed";
   const std::vector<workflow::Job> lost = target->set_failed(true);
+  ++fleet_epoch_;  // before the lifecycle call below, which can re-enter the scheduler
   broker_->set_node_down(worker_nodes_[w], true);
   ++crashes_;
   if (DLAJA_TRACE_ACTIVE(sim_.tracer())) {
@@ -213,6 +215,7 @@ void Engine::apply_recover(WorkerIndex w) {
   if (!target->failed()) return;  // never crashed, or recovered already
   DLAJA_LOG(kInfo, "engine") << sim_.log_prefix() << "worker " << w << " recovered";
   (void)target->set_failed(false);  // a live worker holds no lost jobs
+  ++fleet_epoch_;  // before probe_speeds() and the scheduler callback below
   broker_->set_node_down(worker_nodes_[w], false);
   ++recoveries_;
   // Rejoin with fresh speed knowledge, mirroring the startup sequence.

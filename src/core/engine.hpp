@@ -248,6 +248,10 @@ class Engine {
   std::uint64_t completed_ = 0;
   std::uint64_t crashes_ = 0;
   std::uint64_t recoveries_ = 0;
+  /// Moves on every crash and recovery; schedulers read it through
+  /// SchedulerContext::fleet_epoch to know when their live-worker index is
+  /// stale.
+  std::uint64_t fleet_epoch_ = 0;
   std::uint64_t sched_crashes_ = 0;
   /// Both null in fault-free runs: nothing is constructed, armed or drawn.
   std::unique_ptr<JobLifecycle> lifecycle_;

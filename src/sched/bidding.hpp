@@ -32,6 +32,7 @@
 
 #include "sched/bid_set.hpp"
 #include "sched/fanout.hpp"
+#include "sched/live_workers.hpp"
 #include "sched/load_cache.hpp"
 #include "sched/scheduler.hpp"
 
@@ -121,7 +122,8 @@ class BiddingScheduler final : public Scheduler {
     workflow::Job job;
     BidSet bids;
     /// Probe mode: how many workers this contest solicited — the quorum.
-    /// Full mode leaves it 0 and checks against active_workers() per bid.
+    /// Full mode leaves it 0: its quorum is every live worker, read from
+    /// the live-worker index on each bid.
     std::uint32_t solicited = 0;
     sim::EventId timeout{};
   };
@@ -212,12 +214,14 @@ class BiddingScheduler final : public Scheduler {
   std::uint64_t next_contest_ = 1;
   std::uint64_t fallback_cursor_ = 0;
   Stats stats_;
+  LiveWorkers live_;  ///< full mode's quorum; the pool probes and fallbacks sample
 
   /// Probe and cached modes only (never constructed under `full`, so
   /// full-fanout runs draw exactly the streams the historical
   /// implementation drew). Cached mode uses it for fallback re-contests.
   std::optional<RandomStream> probe_rng_;
-  std::vector<cluster::WorkerIndex> probe_scratch_;  ///< alive workers, reshuffled per contest
+  SubsetSampler sampler_;  ///< draws probe targets and cached fallback candidates
+  std::vector<cluster::WorkerIndex> probe_scratch_;  ///< sampled workers: probes or candidates
   std::vector<net::NodeId> probe_targets_;           ///< solicited nodes per contest
 
   /// Cached mode only: the load cache, its dedicated candidate-sampling

@@ -43,7 +43,6 @@ void FederatedScheduler::attach(const SchedulerContext& ctx) {
   part_of_.resize(worker_count);
   for (WorkerIndex w = 0; w < worker_count; ++w) {
     part_of_[w] = spec_.federation.partition_of(w, worker_count);
-    inst_[part_of_[w]].members.push_back(w);
   }
 
   digest_topic_ = ctx_.broker->topic(cluster::topics::kFedDigests);
@@ -64,7 +63,8 @@ void FederatedScheduler::attach(const SchedulerContext& ctx) {
     // The masked view: the instance IS the master of its partition. Workers
     // outside it are null — guarded policy scans skip them — and topics it
     // interns are scoped so sibling broadcasts stay inaudible.
-    SchedulerContext mctx = ctx_;
+    SchedulerContext& mctx = inst.ctx;
+    mctx = ctx_;
     mctx.master_node = inst.node;
     mctx.scope = "fed" + tag + "/";
     mctx.seeds = inst.seeds.get();
@@ -134,11 +134,7 @@ void FederatedScheduler::attach(const SchedulerContext& ctx) {
 }
 
 std::size_t FederatedScheduler::live_members(std::uint32_t p) const {
-  std::size_t n = 0;
-  for (const WorkerIndex w : inst_[p].members) {
-    if (!ctx_.workers[w]->failed()) ++n;
-  }
-  return n;
+  return inst_[p].live.of(inst_[p].ctx).size();
 }
 
 double FederatedScheduler::own_load(std::uint32_t p) const {

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/live_workers.hpp"
 #include "sched/spec.hpp"
 
 namespace dlaja::sched {
@@ -106,7 +107,10 @@ class FederatedScheduler : public Scheduler {
     std::unique_ptr<Scheduler> policy;
     std::unique_ptr<SeedSequencer> seeds;  ///< policy substream root
     net::NodeId node = net::kInvalidNode;
-    std::vector<cluster::WorkerIndex> members;
+    /// The masked view the policy attached with: workers outside the
+    /// partition are null, so `live` indexes the partition's live members.
+    SchedulerContext ctx;
+    mutable LiveWorkers live;
     bool down = false;
     bool digest_armed = false;
     std::uint64_t outstanding = 0;  ///< routed jobs homed here (queued or assigned)

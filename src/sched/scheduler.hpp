@@ -55,6 +55,12 @@ struct SchedulerContext {
   /// timeouts that would otherwise perturb fault-free determinism.
   bool fault_aware = false;
 
+  /// The engine's fleet epoch: it moves each time a worker crashes or
+  /// recovers, right after the worker's failed() flag flips. Schedulers key
+  /// their live-worker index on it (sched::LiveWorkers). May be null in
+  /// bare-bones tests; the index then rebuilds on every read.
+  const std::uint64_t* fleet_epoch = nullptr;
+
   /// Namespace prefix for broker *topics* ("" outside federation). Topics
   /// are global — two scheduler instances interning the same topic name
   /// would hear each other's broadcasts — so federated instances get a
@@ -72,15 +78,6 @@ struct SchedulerContext {
   obs::ProbeRegistry* probes = nullptr;
 
   [[nodiscard]] std::size_t worker_count() const noexcept { return workers.size(); }
-
-  /// Workers that are currently alive (the paper's "activeWorkers").
-  [[nodiscard]] std::size_t active_workers() const noexcept {
-    std::size_t n = 0;
-    for (const cluster::WorkerNode* w : workers) {
-      if (w != nullptr && !w->failed()) ++n;
-    }
-    return n;
-  }
 };
 
 class Scheduler {

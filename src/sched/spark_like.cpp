@@ -86,8 +86,8 @@ void SparkLikeScheduler::ensure_trace_names() {
 }
 
 void SparkLikeScheduler::dispatch_wave() {
-  const std::size_t wave = std::min(pending_.size(), std::max<std::size_t>(
-                                                         1, ctx_.active_workers()));
+  const std::size_t wave =
+      std::min(pending_.size(), std::max<std::size_t>(1, live_.of(ctx_).size()));
   std::size_t launched = 0;
   for (std::size_t i = 0; i < wave; ++i) {
     if (assign(pending_.front())) ++launched;

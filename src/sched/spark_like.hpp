@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 
+#include "sched/live_workers.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dlaja::sched {
@@ -73,6 +74,7 @@ class SparkLikeScheduler final : public Scheduler {
 
   SparkLikeConfig config_;
   SchedulerContext ctx_;
+  LiveWorkers live_;  ///< wave mode: one task per live worker
   std::uint64_t cursor_ = 0;
   std::deque<workflow::Job> pending_;  ///< wave mode: tasks awaiting a wave slot
   std::size_t outstanding_ = 0;        ///< wave mode: tasks in the current wave

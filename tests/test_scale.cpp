@@ -1,15 +1,20 @@
-// Tests for the large-fleet scale path: fan-out policies, the BidSet, the
-// broker's subscriber slab and delivery coalescing, scenario round-trips,
-// and the factory's config-string registry.
+// Tests for the large-fleet scale path: fan-out policies, the master's
+// live-worker index and k-subset sampler, the BidSet, the broker's
+// subscriber slab and delivery coalescing, scenario round-trips, and the
+// factory's config-string registry.
 //
 // The golden cells pin the `fanout=full` path bit-exactly (hexfloat
 // doubles, exact integer counters): full fan-out is the paper-faithful
 // protocol and must stay bit-identical across refactors of the broker or
-// the contest machinery. Regenerate only for a deliberate semantic change.
+// the contest machinery. Two more pin the probe:k and cached:k samplers
+// under crashes and recoveries. Regenerate only for a deliberate semantic
+// change.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +24,8 @@
 #include "sched/bid_set.hpp"
 #include "sched/factory.hpp"
 #include "sched/fanout.hpp"
+#include "sched/live_workers.hpp"
+#include "sched/simple.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 
@@ -282,6 +289,209 @@ void expect_cached_golden(const CachedGolden& golden) {
 TEST(ScaleCachedGolden, SingleShardIsBitReproducible) {
   expect_cached_golden(CachedGolden{0x1.39d2dfb506dd7p+7, 0x1.439ca103dc7d3p+14, 60u, 240u,
                                     0x1.ep+5, 0x1.ep+8});
+}
+
+// --- sampler goldens under faults -------------------------------------------
+//
+// Recorded before the master read its live workers from an epoch-stamped
+// index: the probe:k contest sampler and cached mode's exact-scan fallback
+// must draw the same workers in the same order, so these cells must not
+// move. The fault counters prove the crash and recovery paths ran.
+
+struct FaultGolden {
+  GoldenRow row;
+  std::uint64_t jobs_completed;
+  std::uint64_t jobs_dead_lettered;
+  double crashes;
+  double recoveries;
+  double retries;
+};
+
+void expect_fault_golden(const core::ExperimentSpec& spec, const FaultGolden& golden) {
+  const auto reports = core::run_experiment(spec);
+  ASSERT_EQ(reports.size(), 1u);
+  const metrics::RunReport& r = reports[0];
+  // Dump actuals in full precision so a deliberate re-golden can copy them
+  // from the failure log.
+  std::printf(
+      "fault_golden = {{%a, %llu, %a, %llu, %a, %a, %a, %a}, %lluu, %lluu, %a, %a, %a}\n",
+      r.exec_time_s, static_cast<unsigned long long>(r.cache_misses), r.data_load_mb,
+      static_cast<unsigned long long>(r.messages_delivered), r.stat("sim.events_fired"),
+      r.stat("sim.events_scheduled"), r.stat("msg.delivered"), r.stat("sched.contests"),
+      static_cast<unsigned long long>(r.jobs_completed),
+      static_cast<unsigned long long>(r.jobs_dead_lettered), r.stat("fault.crashes"),
+      r.stat("fault.recoveries"), r.stat("fault.retries"));
+  expect_rows(reports, {golden.row});
+  EXPECT_EQ(r.jobs_completed, golden.jobs_completed);
+  EXPECT_EQ(r.jobs_dead_lettered, golden.jobs_dead_lettered);
+  EXPECT_EQ(r.jobs_lost, 0u);
+  EXPECT_EQ(r.stat("fault.crashes"), golden.crashes);
+  EXPECT_EQ(r.stat("fault.recoveries"), golden.recoveries);
+  EXPECT_EQ(r.stat("fault.retries"), golden.retries);
+}
+
+TEST(ScaleGolden, ProbeUnderCrashAndRecoveryIsBitIdentical) {
+  core::ExperimentSpec spec = probe_cell("bidding:fanout=probe:3");
+  spec.faults = fault::FaultPlan::parse("crashes:p=0.5,window=60,down=20");
+  expect_fault_golden(spec, FaultGolden{{0x1.4c039e492bc3p+7, 60, 0x1.439ca103dc7d5p+14, 508,
+                                         0x1.cfp+9, 0x1.08p+10, 0x1.fcp+8, 0x1p+6},
+                                        60u, 0u, 0x1.3p+4, 0x1.3p+4, 0x1p+2});
+}
+
+TEST(ScaleGolden, CachedExactScanFallbackIsBitIdentical) {
+  // 37 of 40 workers down, most of them for the rest of the run: with 4-7
+  // workers alive, place_cached's bounded rejection draws often miss, and
+  // 21 of its 64 placements take the exact-scan fallback (counted at the
+  // recording commit).
+  core::ExperimentSpec spec = cached_cell("bidding:fanout=cached:4");
+  spec.faults = fault::FaultPlan::parse("crashes:p=0.95,window=20,down=2000");
+  expect_fault_golden(spec, FaultGolden{{0x1.92c3aeee95747p+7, 60, 0x1.439ca103dc7d5p+14, 257,
+                                         0x1.238p+9, 0x1.46p+9, 0x1.01p+8, 0x1p+0},
+                                        60u, 0u, 0x1.28p+5, 0x1.28p+5, 0x1p+2});
+}
+
+// --- live-worker index and k-subset sampler ---------------------------------
+
+// The probe sampler as it was before the live-worker index, kept as the
+// reference: walk the fleet for live workers in ascending order, then run a
+// partial Fisher-Yates in place on that copy.
+std::vector<cluster::WorkerIndex> reference_draw(const std::vector<bool>& alive,
+                                                 std::uint32_t k, RandomStream& rng) {
+  std::vector<cluster::WorkerIndex> scratch;
+  for (cluster::WorkerIndex w = 0; w < alive.size(); ++w) {
+    if (alive[w]) scratch.push_back(w);
+  }
+  const auto count = static_cast<std::uint32_t>(std::min<std::size_t>(k, scratch.size()));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto j = i + static_cast<std::uint32_t>(rng.uniform_int(
+                           0, static_cast<std::uint64_t>(scratch.size() - 1 - i)));
+    std::swap(scratch[i], scratch[j]);
+  }
+  scratch.resize(count);
+  return scratch;
+}
+
+TEST(SubsetSampler, MatchesInPlaceFisherYatesOracle) {
+  // Lockstep over pool sizes 1-300, every k up to one past the pool, three
+  // fleet layouts (900 RNG streams): the same picks in the same order, and
+  // the same RNG state after every call.
+  sched::SubsetSampler sampler;
+  std::vector<cluster::WorkerIndex> picks;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    RandomStream layout(seed);
+    for (std::size_t n = 1; n <= 300; ++n) {
+      // n live workers scattered over a fleet of up to 2n.
+      const std::size_t fleet = n + static_cast<std::size_t>(
+                                        layout.uniform_int(0, static_cast<std::int64_t>(n)));
+      std::vector<bool> alive(fleet, true);
+      for (std::size_t dead = 0; dead < fleet - n;) {
+        const auto w = static_cast<std::size_t>(
+            layout.uniform_int(0, static_cast<std::int64_t>(fleet) - 1));
+        if (alive[w]) {
+          alive[w] = false;
+          ++dead;
+        }
+      }
+      std::vector<cluster::WorkerIndex> pool;
+      for (cluster::WorkerIndex w = 0; w < fleet; ++w) {
+        if (alive[w]) pool.push_back(w);
+      }
+      RandomStream oracle_rng(seed * 1000 + n);
+      RandomStream sampler_rng(seed * 1000 + n);
+      for (std::uint32_t k = 1; k <= n + 1; ++k) {
+        sampler.draw(pool, k, sampler_rng, picks);
+        ASSERT_EQ(picks, reference_draw(alive, k, oracle_rng))
+            << "seed " << seed << ", pool " << n << ", k " << k;
+        RandomStream oracle_next = oracle_rng;
+        RandomStream sampler_next = sampler_rng;
+        ASSERT_EQ(sampler_next.engine()(), oracle_next.engine()())
+            << "seed " << seed << ", pool " << n << ", k " << k;
+      }
+    }
+  }
+}
+
+TEST(SubsetSampler, EmptyPoolDrawsNothing) {
+  sched::SubsetSampler sampler;
+  std::vector<cluster::WorkerIndex> picks{7};
+  RandomStream rng(3);
+  RandomStream untouched = rng;
+  sampler.draw({}, 4, rng, picks);
+  EXPECT_TRUE(picks.empty());
+  EXPECT_EQ(rng.engine()(), untouched.engine()());
+}
+
+/// Checks the live-worker index against a fresh walk of the fleet on every
+/// submit, then hands the job to a round-robin push scheduler.
+class IndexCheckingScheduler final : public sched::Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "index-check"; }
+
+  void attach(const sched::SchedulerContext& ctx) override {
+    ctx_ = ctx;
+    inner_.attach(ctx);
+  }
+
+  void submit(const workflow::Job& job) override {
+    const std::uint64_t rebuilds_before = live_.rebuilds();
+    const std::vector<cluster::WorkerIndex>& live = live_.of(ctx_);
+    std::vector<cluster::WorkerIndex> walk;
+    for (cluster::WorkerIndex w = 0; w < ctx_.worker_count(); ++w) {
+      if (!ctx_.workers[w]->failed()) walk.push_back(w);
+    }
+    EXPECT_EQ(live, walk) << "submit " << submits;
+    const bool epoch_moved = submits == 0 || *ctx_.fleet_epoch != seen_epoch_;
+    EXPECT_EQ(live_.rebuilds() - rebuilds_before, epoch_moved ? 1u : 0u)
+        << "submit " << submits;
+    seen_epoch_ = *ctx_.fleet_epoch;
+    ++submits;
+    inner_.submit(job);
+  }
+
+  [[nodiscard]] std::uint64_t rebuilds() const noexcept { return live_.rebuilds(); }
+  std::uint64_t submits = 0;
+
+ private:
+  sched::SchedulerContext ctx_;
+  sched::SimplePushScheduler inner_{sched::PushPolicy::kRoundRobin};
+  sched::LiveWorkers live_;
+  std::uint64_t seen_epoch_ = 0;
+};
+
+TEST(LiveWorkers, MatchesAFreshWalkUnderRandomCrashesAndRecoveries) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    core::EngineConfig config = testutil::noiseless(seed);
+    config.faults = fault::FaultPlan::parse("crashes:p=0.7,window=300,down=40");
+    auto scheduler = std::make_unique<IndexCheckingScheduler>();
+    IndexCheckingScheduler& checker = *scheduler;
+    core::Engine engine(testutil::uniform_fleet(24), std::move(scheduler), config);
+    const auto report = engine.run(testutil::distinct_jobs(300, 50.0, 1.0));
+    EXPECT_EQ(report.jobs_lost, 0u);
+    EXPECT_GT(engine.worker_crashes(), 10u);
+    EXPECT_GT(engine.worker_recoveries(), 10u);
+    EXPECT_GE(checker.submits, 300u);
+    // Rebuilt on moved epochs only: far fewer times than it was read.
+    EXPECT_GT(checker.rebuilds(), 1u);
+    EXPECT_LT(checker.rebuilds() * 2, checker.submits);
+  }
+}
+
+TEST(LiveWorkers, SkipsMaskedSlotsAndRebuildsEveryReadWithoutAnEpoch) {
+  core::Engine engine(testutil::uniform_fleet(4),
+                      sched::make_scheduler("round-robin"), testutil::noiseless());
+  sched::SchedulerContext ctx;
+  ctx.workers = {&engine.worker(0), nullptr, &engine.worker(2), &engine.worker(3)};
+  sched::LiveWorkers live;
+  EXPECT_EQ(live.of(ctx), (std::vector<cluster::WorkerIndex>{0, 2, 3}));
+  EXPECT_EQ(live.of(ctx), (std::vector<cluster::WorkerIndex>{0, 2, 3}));
+  EXPECT_EQ(live.rebuilds(), 2u);
+
+  const std::uint64_t epoch = 5;
+  ctx.fleet_epoch = &epoch;
+  (void)live.of(ctx);
+  (void)live.of(ctx);
+  EXPECT_EQ(live.rebuilds(), 3u);
 }
 
 // --- fan-out policy parsing ----------------------------------------------
