@@ -137,6 +137,9 @@ class WorkerNode {
   std::function<void(WorkerIndex)> on_idle;
 
  private:
+  /// The tests' full-replay reference for backlog_cost_s.
+  friend struct BacklogOracle;
+
   /// One parallel execution lane.
   struct ExecSlot {
     workflow::Job job;
@@ -189,9 +192,38 @@ class WorkerNode {
   std::unordered_map<storage::ResourceId, std::uint32_t> pending_resources_;
   net::FlowNetwork* flows_ = nullptr;
   bool failed_ = false;
-  /// Reused assumed-local scratch for backlog_cost_s (avoids a heap
-  /// allocation per estimate on the bidding / telemetry hot paths).
-  mutable std::vector<storage::ResourceId> backlog_scratch_;
+
+  /// backlog_cost_s's "assumed local" set: open addressing over {id, stamp}
+  /// slots, found by Fibonacci hashing and linear probing. A slot holds an
+  /// entry only while its stamp is the current one, so clear() empties the
+  /// set in O(1) by bumping the stamp. The capacity is a power of two and
+  /// doubles when the set is half full; it is allocated on the first insert
+  /// and kept, so a worker whose walks never meet a resource allocates
+  /// nothing and a busy one allocates nothing in steady state.
+  class ResourceSet {
+   public:
+    void clear() noexcept {
+      ++stamp_;
+      size_ = 0;
+    }
+    /// Adds `id`; false if it was already in the set.
+    bool insert(storage::ResourceId id);
+    [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+
+   private:
+    struct Slot {
+      storage::ResourceId id = 0;
+      std::uint64_t stamp = 0;
+    };
+    [[nodiscard]] std::size_t home(storage::ResourceId id) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::uint64_t stamp_ = 1;  ///< fresh slots carry 0, so they start empty
+    std::size_t size_ = 0;
+    int shift_ = 64;           ///< 64 - log2(capacity)
+  };
+  mutable ResourceSet assumed_local_;
 
   /// Interns the worker's span names on first traced use.
   void ensure_trace_names();

@@ -1,23 +1,28 @@
 // Tests for the large-fleet scale path: fan-out policies, the master's
-// live-worker index and k-subset sampler, the BidSet, the broker's
-// subscriber slab and delivery coalescing, scenario round-trips, and the
-// factory's config-string registry.
+// live-worker index and k-subset sampler, the worker's backlog walk against
+// a linear-scan oracle, the BidSet, the broker's subscriber slab and
+// delivery coalescing, scenario round-trips, and the factory's
+// config-string registry.
 //
 // The golden cells pin the `fanout=full` path bit-exactly (hexfloat
 // doubles, exact integer counters): full fan-out is the paper-faithful
 // protocol and must stay bit-identical across refactors of the broker or
 // the contest machinery. Two more pin the probe:k and cached:k samplers
-// under crashes and recoveries. Regenerate only for a deliberate semantic
-// change.
+// under crashes and recoveries, and two the deep-queue regime, where
+// backlog estimates replay queues of 100+ jobs. Regenerate only for a
+// deliberate semantic change.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cluster/worker.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "msg/broker.hpp"
@@ -28,8 +33,55 @@
 #include "sched/simple.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
+#include "workload/arrivals.hpp"
 
 namespace dlaja {
+
+namespace cluster {
+
+/// backlog_cost_s as it stood before the stamped membership set, kept
+/// verbatim as the reference: the assumed-local set is a vector searched
+/// linearly, so a walk costs O(queue x distinct resources).
+struct BacklogOracle {
+  static double backlog_cost_s(const WorkerNode& worker) {
+    double total = 0.0;
+    std::vector<storage::ResourceId> assumed_local;
+    const auto assumed = [&assumed_local](storage::ResourceId r) {
+      return std::find(assumed_local.begin(), assumed_local.end(), r) != assumed_local.end();
+    };
+    for (const auto& slot : worker.slots_) {
+      if (slot == nullptr) continue;
+      const Tick remaining = slot->est_finish - worker.sim_.now();
+      if (remaining > 0) total += seconds_from_ticks(remaining);
+      if (slot->job.needs_resource() && !assumed(slot->job.resource)) {
+        assumed_local.push_back(slot->job.resource);
+      }
+    }
+    const double net_speed = std::max(worker.net_est_.estimate(), 1e-9);
+    const double rw_speed = std::max(worker.rw_est_.estimate(), 1e-9);
+    for (const WorkerNode::QueuedCost& job : worker.queue_costs_) {
+      if (job.resource != 0) {
+        if (!assumed(job.resource)) {
+          if (!worker.cache_.contains(job.resource)) {
+            total += job.resource_size_mb / net_speed;
+          }
+          assumed_local.push_back(job.resource);
+        }
+      }
+      total += job.process_mb / rw_speed + seconds_from_ticks(job.fixed_cost);
+    }
+    return total;
+  }
+
+  /// Slots allocated by the worker's membership set (0 until its first
+  /// insert).
+  static std::size_t set_capacity(const WorkerNode& worker) {
+    return worker.assumed_local_.capacity();
+  }
+};
+
+}  // namespace cluster
+
 namespace {
 
 // --- golden cells (fanout=full bit-identity) ------------------------------
@@ -348,6 +400,267 @@ TEST(ScaleGolden, CachedExactScanFallbackIsBitIdentical) {
   expect_fault_golden(spec, FaultGolden{{0x1.92c3aeee95747p+7, 60, 0x1.439ca103dc7d5p+14, 257,
                                          0x1.238p+9, 0x1.46p+9, 0x1.01p+8, 0x1p+0},
                                         60u, 0u, 0x1.28p+5, 0x1.28p+5, 0x1p+2});
+}
+
+// --- deep-queue goldens -----------------------------------------------------
+//
+// Recorded before backlog_cost_s answered "already local?" from a stamped
+// membership set: an open stream offered above the capacity of a mixed
+// 4-worker fleet (two 2-slot workers, two with a 1,200 MB LRU cache, far
+// below the 64-repository pool), so every queue passes 100 jobs and the LRU
+// caches evict resources that queued jobs still need (counted at the
+// recording commit). The capacity stays above the largest resource
+// (1,024 MB): a cache holding one larger resource trips the cache.capacity
+// watchdog. No other golden queues more than a few jobs per worker, so these
+// are the cells where the backlog walk's membership answers decide bids and
+// placements.
+
+std::vector<cluster::WorkerConfig> deep_queue_fleet() {
+  std::vector<cluster::WorkerConfig> fleet = testutil::uniform_fleet(4);
+  fleet[0].slots = 2;
+  fleet[1].slots = 2;
+  for (const std::size_t w : {2u, 3u}) {
+    fleet[w].cache.policy = storage::EvictionPolicy::kLru;
+    fleet[w].cache.capacity_mb = 1200.0;
+  }
+  return fleet;
+}
+
+struct DeepQueueGolden {
+  double exec_time_s;
+  double data_load_mb;
+  std::uint64_t cache_misses;
+  double avg_turnaround_s;
+  std::uint64_t messages_delivered;
+  double events_fired;
+};
+
+void expect_deep_queue_golden(const std::string& scheduler, const DeepQueueGolden& golden) {
+  workload::OpenArrivalSpec arrivals;
+  arrivals.rate_per_s = 6.0;
+  arrivals.duration_s = 400.0;
+  arrivals.repo_pool = 64;
+  arrivals.popularity_skew = 2.0;
+  workload::OpenArrivalStream stream(
+      workload::make_workload_spec(workload::JobConfig::kAllDiffSmall), arrivals,
+      SeedSequencer(2024));
+  core::EngineConfig config;
+  config.seed = 17;
+  config.telemetry.interval = ticks_from_seconds(10.0);
+  core::Engine engine(deep_queue_fleet(), sched::make_scheduler(scheduler), config);
+  for (cluster::WorkerIndex w = 0; w < engine.worker_count(); ++w) {
+    const cluster::WorkerNode* node = &engine.worker(w);
+    engine.probes().add_gauge("test.queued." + std::to_string(w), 0, [node] {
+      return static_cast<double>(node->queue_length());
+    });
+  }
+  const metrics::RunReport r = engine.run_stream([&stream] { return stream.next(); });
+  // Dump actuals in full precision so a deliberate re-golden can copy them
+  // from the failure log.
+  std::printf("deep_queue_golden = {%a, %a, %lluu, %a, %lluu, %a}\n", r.exec_time_s,
+              r.data_load_mb, static_cast<unsigned long long>(r.cache_misses),
+              r.avg_turnaround_s, static_cast<unsigned long long>(r.messages_delivered),
+              r.stat("sim.events_fired"));
+  EXPECT_EQ(r.jobs_completed, stream.emitted());
+  EXPECT_EQ(r.jobs_lost, 0u);
+  EXPECT_EQ(r.exec_time_s, golden.exec_time_s);
+  EXPECT_EQ(r.data_load_mb, golden.data_load_mb);
+  EXPECT_EQ(r.cache_misses, golden.cache_misses);
+  EXPECT_EQ(r.avg_turnaround_s, golden.avg_turnaround_s);
+  EXPECT_EQ(r.messages_delivered, golden.messages_delivered);
+  EXPECT_EQ(r.stat("sim.events_fired"), golden.events_fired);
+
+  // The regime the cell exists for: every worker's queue passed 100 jobs.
+  ASSERT_TRUE(engine.telemetry().has_value());
+  const obs::TelemetryTable& table = *engine.telemetry();
+  for (cluster::WorkerIndex w = 0; w < engine.worker_count(); ++w) {
+    const auto name = std::find(table.names.begin(), table.names.end(),
+                                "test.queued." + std::to_string(w));
+    ASSERT_NE(name, table.names.end());
+    const std::vector<double>& series =
+        table.values[static_cast<std::size_t>(name - table.names.begin())];
+    EXPECT_GE(*std::max_element(series.begin(), series.end()), 100.0) << "worker " << w;
+  }
+}
+
+TEST(DeepQueueGolden, CachedFanoutIsBitIdentical) {
+  expect_deep_queue_golden("bidding:fanout=cached:4",
+                           DeepQueueGolden{0x1.ab251b93037d6p+9, 0x1.4dd57801d0e12p+15, 447u,
+                                           0x1.5fbf3d2662de4p+7, 9659u, 0x1.0dfp+14});
+}
+
+TEST(DeepQueueGolden, FullFanoutIsBitIdentical) {
+  expect_deep_queue_golden("bidding",
+                           DeepQueueGolden{0x1.9d910d62bf12p+9, 0x1.3f3fdea2533fdp+15, 379u,
+                                           0x1.239f0ab1cc14bp+7, 23540u, 0x1.2936p+15});
+}
+
+// --- backlog walk against the linear-scan oracle ----------------------------
+
+/// One worker on its own simulator and noisy network, driven step by step.
+class OracleWorker {
+ public:
+  OracleWorker(const cluster::WorkerConfig& config, cluster::SpeedEstimator::Mode mode,
+               std::uint64_t seed)
+      : seeds_(seed), network_(seeds_, net::NoiseConfig::lognormal(0.3)), metrics_(1) {
+    net::LinkConfig link;
+    link.bandwidth_mbps = config.network_mbps;
+    node_ = network_.register_node(config.name, link);
+    worker_ = std::make_unique<cluster::WorkerNode>(0, config, sim_, network_, node_, metrics_,
+                                                    seeds_, mode);
+  }
+
+  [[nodiscard]] cluster::WorkerNode& worker() noexcept { return *worker_; }
+  void advance(double seconds) { sim_.run(sim_.now() + ticks_from_seconds(seconds)); }
+
+  /// backlog_cost_s() equals the oracle's walk bit for bit.
+  [[nodiscard]] ::testing::AssertionResult matches_oracle() const {
+    const double walked = worker_->backlog_cost_s();
+    const double oracle = cluster::BacklogOracle::backlog_cost_s(*worker_);
+    if (std::bit_cast<std::uint64_t>(walked) == std::bit_cast<std::uint64_t>(oracle)) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << std::hexfloat << "backlog " << walked << " != oracle " << oracle << " with "
+           << worker_->queue_length() << " queued at tick " << sim_.now();
+  }
+
+ private:
+  SeedSequencer seeds_;
+  sim::Simulator sim_;
+  net::NetworkModel network_;
+  metrics::MetricsCollector metrics_;
+  net::NodeId node_{};
+  std::unique_ptr<cluster::WorkerNode> worker_;
+};
+
+/// A resource has one size wherever it appears, as in a catalog.
+MegaBytes oracle_size(storage::ResourceId resource) {
+  return 1.0 + static_cast<double>((resource * 2654435761u) % 400);
+}
+
+/// A job on `resource` (0: none).
+workflow::Job oracle_job(workflow::JobId id, storage::ResourceId resource, RandomStream& rng) {
+  workflow::Job job;
+  job.id = id;
+  job.resource = resource;
+  if (resource != 0) {
+    job.resource_size_mb = oracle_size(resource);
+    job.process_mb = job.resource_size_mb;
+  } else {
+    job.process_mb = rng.uniform(1.0, 200.0);
+  }
+  job.fixed_cost = ticks_from_millis(rng.uniform(0.0, 300.0));
+  return job;
+}
+
+TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
+  // 1-3 slots x unbounded or small LRU cache x nominal or historic speeds,
+  // through seeded histories of enqueue bursts (Zipf-repeated, distinct and
+  // resource-free jobs), simulated time, direct cache admissions, speed
+  // probes, crashes and revivals; the walk is checked after every step.
+  std::uint64_t evictions = 0;
+  std::uint64_t revivals = 0;
+  std::uint64_t speed_observations = 0;
+  std::size_t deepest = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    cluster::WorkerConfig config = testutil::uniform_fleet(1)[0];
+    config.slots = static_cast<std::uint32_t>(1 + seed % 3);
+    if (seed % 2 == 0) {
+      config.cache.policy = storage::EvictionPolicy::kLru;
+      config.cache.capacity_mb = 600.0;  // a few resources of the hot pool
+    }
+    const auto mode = (seed / 2) % 2 == 1 ? cluster::SpeedEstimator::Mode::kHistoric
+                                          : cluster::SpeedEstimator::Mode::kNominal;
+    OracleWorker w(config, mode, seed);
+    cluster::WorkerNode& worker = w.worker();
+    RandomStream rng(seed);
+    workflow::JobId next_id = 1;
+    storage::ResourceId next_distinct = 1000;
+    for (int step = 0; step < 600; ++step) {
+      const double roll = rng.uniform();
+      if (worker.failed()) {
+        if (roll < 0.2) {
+          (void)worker.set_failed(false);
+          ++revivals;
+        } else {
+          w.advance(rng.exponential(3.0));
+        }
+      } else if (roll < 0.45 && worker.queue_length() < 400) {
+        const auto burst = rng.uniform_int(1, 24);
+        for (std::int64_t i = 0; i < burst; ++i) {
+          const double kind = rng.uniform();
+          storage::ResourceId resource = 0;
+          if (kind >= 0.15 && kind < 0.75) {
+            // Zipf-like over a hot pool of 24: low ids dominate.
+            resource = 1 + static_cast<storage::ResourceId>(24 * std::pow(rng.uniform(), 2.5));
+          } else if (kind >= 0.75) {
+            resource = next_distinct++;
+          }
+          worker.enqueue(oracle_job(next_id++, resource, rng));
+          ASSERT_TRUE(w.matches_oracle()) << "step " << step << ", burst job " << i;
+        }
+      } else if (roll < 0.9) {
+        w.advance(rng.exponential(3.0));
+      } else if (roll < 0.95) {
+        const auto resource = static_cast<storage::ResourceId>(rng.uniform_int(1, 24));
+        worker.cache().admit(storage::Resource{resource, oracle_size(resource)});
+      } else if (roll < 0.98) {
+        worker.probe_speeds();
+      } else {
+        (void)worker.set_failed(true);
+      }
+      deepest = std::max(deepest, worker.queue_length());
+      ASSERT_TRUE(w.matches_oracle()) << "step " << step;
+    }
+    evictions += worker.cache().stats().evictions;
+    speed_observations += worker.rw_estimator().observations();
+  }
+  // The histories reached the paths they exist for.
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(revivals, 5u);
+  EXPECT_GT(speed_observations, 1000u);
+  EXPECT_GE(deepest, 100u);
+}
+
+TEST(BacklogOracle, AThousandDistinctResourcesGrowTheSetMidWalk) {
+  OracleWorker w(testutil::uniform_fleet(1)[0], cluster::SpeedEstimator::Mode::kNominal, 5);
+  cluster::WorkerNode& worker = w.worker();
+  RandomStream rng(5);
+  // Neither an idle walk nor one over a resource-free job allocates the set.
+  ASSERT_TRUE(w.matches_oracle());
+  worker.enqueue(oracle_job(1, 0, rng));
+  ASSERT_TRUE(w.matches_oracle());
+  EXPECT_EQ(cluster::BacklogOracle::set_capacity(worker), 0u);
+
+  // 1,200 distinct resources, every third already cached, each followed by
+  // a job on an earlier one: one walk grows the set from 8 slots to 4,096
+  // and must remember, after every growth, each resource it met before.
+  constexpr storage::ResourceId kDistinct = 1200;
+  workflow::JobId id = 2;
+  for (storage::ResourceId r = 1; r <= kDistinct; ++r) {
+    worker.enqueue(oracle_job(id++, r, rng));
+    worker.enqueue(oracle_job(id++, r / 2 + 1, rng));
+    if (r % 3 == 0) worker.cache().admit(storage::Resource{r, oracle_size(r)});
+  }
+  ASSERT_TRUE(w.matches_oracle());
+  const std::size_t capacity = cluster::BacklogOracle::set_capacity(worker);
+  EXPECT_EQ(capacity, 4096u);
+
+  // The same resources again, in reverse: no new entries, so no growth.
+  for (storage::ResourceId r = kDistinct; r >= 1; --r) {
+    worker.enqueue(oracle_job(id++, r, rng));
+  }
+  ASSERT_TRUE(w.matches_oracle());
+  EXPECT_EQ(cluster::BacklogOracle::set_capacity(worker), capacity);
+
+  // Drain part of the queue, checking the walk at each stop.
+  for (int stop = 0; stop < 20; ++stop) {
+    w.advance(60.0);
+    ASSERT_TRUE(w.matches_oracle()) << "stop " << stop;
+  }
+  EXPECT_LT(worker.queue_length(), 3 * kDistinct);
 }
 
 // --- live-worker index and k-subset sampler ---------------------------------
