@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
         config.shared_bandwidth = true;
         config.origin_capacity_mbps = origin;
         core::Engine engine(cluster::make_fleet(spec.fleet),
-                            sched::make_scheduler(scheduler, spec.seed), config);
+                            sched::SchedulerSpec(scheduler).build(spec.seed), config);
         for (std::size_t w = 0; w < carried.size(); ++w) {
           engine.preload_cache(static_cast<cluster::WorkerIndex>(w), carried[w]);
         }

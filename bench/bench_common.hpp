@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
 #include "metrics/report.hpp"
 #include "util/table.hpp"
 

@@ -1,8 +1,8 @@
 // Flow-network hot-loop benchmarks (google-benchmark): arrival/cancel/
 // completion churn against the max-min fair flow model at 1k-64k concurrent
-// flows, plus one end-to-end shared-bandwidth experiment cell. Paired with
-// scripts/bench_flow.sh, which aggregates repetitions into BENCH_flow.json
-// (best / p50 / p99) so flow-model rewrites can be compared across PRs.
+// flows, plus one end-to-end shared-bandwidth experiment cell. A micro bench
+// that nothing records: compare a flow-model rewrite by running it on the
+// parent and the change back to back (perfbench/ is the measured benchmark).
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,7 @@
 
 #include "core/engine.hpp"
 #include "net/flow.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 
@@ -113,7 +113,7 @@ void BM_FlowSharedNetCell(benchmark::State& state) {
     config.shared_bandwidth = true;
     config.origin_capacity_mbps = 100.0;
     core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual),
-                        sched::make_scheduler("bidding"), config);
+                        sched::SchedulerSpec("bidding").build(config.seed), config);
     const auto report = engine.run(workload.jobs);
     benchmark::DoNotOptimize(report.exec_time_s);
   }

@@ -1,6 +1,8 @@
 // Micro benchmarks (google-benchmark): throughput of the substrates the
 // reproduction is built on — event queue, RNG, broker delivery, cache
-// operations, and whole-simulation rates for both schedulers.
+// operations, and whole-simulation rates for both schedulers. Nothing
+// records these numbers: compare a kernel change by running the bench on the
+// parent and the change back to back (perfbench/ is the measured benchmark).
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +14,7 @@
 #include "core/engine.hpp"
 #include "msg/broker.hpp"
 #include "obs/trace.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "sim/simulator.hpp"
 #include "storage/cache.hpp"
 #include "util/rng.hpp"
@@ -76,7 +78,7 @@ BENCHMARK(BM_EventCancelHeavy);
 // Tracing overhead on the schedule→fire hot path. Arg(0) runs with no
 // tracer attached (the default production state — one pointer load per
 // dispatch); Arg(1) attaches an enabled Tracer so every dispatch records a
-// span. bench_kernel.sh reports the pair side by side in BENCH_kernel.json.
+// span; compare the two arms side by side.
 void BM_EventTracing(benchmark::State& state) {
   constexpr std::size_t kBatch = 1 << 12;
   const bool traced = state.range(0) != 0;
@@ -207,8 +209,9 @@ void BM_FullSimulation(benchmark::State& state) {
   for (auto _ : state) {
     core::EngineConfig config;
     config.seed = 42;
+    const sched::SchedulerSpec scheduler(bidding ? "bidding" : "baseline");
     core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
-                        sched::make_scheduler(bidding ? "bidding" : "baseline"), config);
+                        scheduler.build(config.seed), config);
     const auto report = engine.run(workload.jobs);
     benchmark::DoNotOptimize(report.exec_time_s);
   }
@@ -232,7 +235,7 @@ void BM_EngineTelemetry(benchmark::State& state) {
     config.seed = 42;
     if (cadence_s > 0) config.telemetry.interval = ticks_from_seconds(cadence_s);
     core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
-                        sched::make_scheduler("bidding"), config);
+                        sched::SchedulerSpec("bidding").build(config.seed), config);
     const auto report = engine.run(workload.jobs);
     benchmark::DoNotOptimize(report.exec_time_s);
   }

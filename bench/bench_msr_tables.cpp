@@ -15,7 +15,7 @@
 
 #include "bench_common.hpp"
 #include "msr/msr.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 
 using namespace dlaja;
 
@@ -38,7 +38,7 @@ MsrRun run_msr(const std::string& scheduler, std::uint64_t seed) {
   engine_config.estimation = cluster::SpeedEstimator::Mode::kHistoric;
   engine_config.probe_speeds = true;
 
-  core::Engine engine(msr::make_msr_fleet(), sched::make_scheduler(scheduler, seed),
+  core::Engine engine(msr::make_msr_fleet(), sched::SchedulerSpec(scheduler).build(seed),
                       engine_config);
   engine.set_workflow(pipeline.workflow);
   const auto report = engine.run(pipeline.seed_jobs);

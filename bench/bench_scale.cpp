@@ -11,55 +11,45 @@
 // re-contest on a stale decline) — O(1) messages per job. All arms run
 // with delivery coalescing on (the scale configuration).
 //
-// Emits BENCH_scale.json with per-cell wall time, decision throughput
-// (contests + direct placements per wall second), messages per job, and
-// placement quality (exec time relative to the full-broadcast optimum at
-// the same fleet) plus the probe-vs-full and cached-vs-probe speedups per
-// fleet size. The acceptance bars: probe >= 5x contest throughput at 2000
-// workers, cached >= 5x decision throughput over probe at 10000 workers
-// with O(1) messages/job and exec time within a few percent of full.
+// Prints per-cell wall time, decision throughput (contests + direct
+// placements per wall second), messages per job, and placement quality
+// (exec time relative to the full-broadcast optimum at the same fleet),
+// then the cached-vs-probe speedup per fleet size. Nothing records these
+// numbers; perfbench/ is the measured benchmark.
 //
 // The 10k-worker full-broadcast cell is expensive (O(workers) messages per
 // contest); it is skipped unless BENCH_SCALE_FULL=1 so the default sweep
 // stays fast. Without it the 10k placement-quality column falls back to
 // the probe:4 arm as its reference.
 //
-//   bench_scale [--out BENCH_scale.json] [--jobs 2000] [--seed 42]
+//   bench_scale [--jobs 2000] [--seed 42]
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "util/json.hpp"
 
 using namespace dlaja;
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scale.json";
   std::size_t jobs = 2000;
   std::uint64_t seed = 42;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string { return i + 1 < argc ? argv[++i] : std::string{}; };
-    if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--jobs") {
+    if (arg == "--jobs") {
       jobs = std::stoul(next());
     } else if (arg == "--seed") {
       seed = std::stoull(next());
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: [--out path.json] [--jobs n] [--seed n]\n";
+      std::cout << "options: [--jobs n] [--seed n]\n";
       return 0;
     }
   }
 
   const char* full_env = std::getenv("BENCH_SCALE_FULL");
   const bool full_at_10k = full_env != nullptr && std::string(full_env) == "1";
-  const unsigned cores = std::thread::hardware_concurrency();
 
   constexpr std::size_t kFleets = 5;
   constexpr std::size_t kFanouts = 3;
@@ -71,7 +61,6 @@ int main(int argc, char** argv) {
   table.set_header({"workers", "fanout", "wall (s)", "decisions", "decisions/s", "msgs",
                     "msgs/job", "exec (s)", "quality"});
 
-  json::Array cells;
   double throughput[kFleets][kFanouts] = {};
   double exec_time[kFleets][kFanouts] = {};
   bool ran[kFleets][kFanouts] = {};
@@ -117,62 +106,16 @@ int main(int argc, char** argv) {
                      std::to_string(r.messages_delivered), fmt_fixed(msgs_per_job, 1),
                      fmt_fixed(r.exec_time_s, 1),
                      quality > 0.0 ? fmt_ratio(quality) : "-"});
-
-      json::Object cell;
-      cell["workers"] = fleets[fi];
-      cell["fanout"] = fanouts[pi];
-      cell["jobs"] = jobs;
-      cell["wall_time_s"] = wall;
-      cell["contests"] = r.stat("sched.contests");
-      cell["placements"] = r.stat("fanout.placements");
-      cell["contest_throughput_per_s"] = throughput[fi][pi];
-      cell["messages_delivered"] = r.messages_delivered;
-      cell["messages_per_job"] = msgs_per_job;
-      cell["exec_time_s"] = r.exec_time_s;
-      if (quality > 0.0) cell["placement_quality_vs_full"] = quality;
-      if (pi == 2) {
-        cell["cache_hits"] = r.stat("fanout.cache_hits");
-        cell["stale_declines"] = r.stat("fanout.stale_declines");
-        cell["placement_quality_estimate_ratio_mean"] =
-            r.stat("fanout.placement_quality.mean");
-      }
-      cells.push_back(json::Value{std::move(cell)});
     }
   }
   table.print(std::cout);
 
-  json::Array speedups;
   std::cout << "\ncontest/decision-throughput speedups:";
   for (std::size_t fi = 0; fi < kFleets; ++fi) {
-    json::Object row;
-    row["workers"] = fleets[fi];
-    if (ran[fi][0] && throughput[fi][0] > 0.0) {
-      row["speedup_probe_vs_full"] = throughput[fi][1] / throughput[fi][0];
-      row["speedup_cached_vs_full"] = throughput[fi][2] / throughput[fi][0];
-    }
     const double cached_vs_probe =
         throughput[fi][1] > 0.0 ? throughput[fi][2] / throughput[fi][1] : 0.0;
-    row["speedup_cached_vs_probe"] = cached_vs_probe;
-    speedups.push_back(json::Value{std::move(row)});
     std::cout << "  " << fleets[fi] << "w cached-vs-probe=" << fmt_ratio(cached_vs_probe);
   }
   std::cout << "\n";
-
-  json::Object doc;
-  doc["bench"] = "scale";
-  doc["jobs"] = jobs;
-  doc["seed"] = seed;
-  doc["hardware_concurrency"] = static_cast<std::uint64_t>(cores);
-  doc["full_at_10k"] = full_at_10k;
-  doc["cells"] = json::Value{std::move(cells)};
-  doc["speedups"] = json::Value{std::move(speedups)};
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << json::Value{std::move(doc)}.dump(2) << "\n";
-  std::cout << "wrote " << out_path << "\n";
   return 0;
 }

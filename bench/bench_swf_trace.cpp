@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       core::EngineConfig config;
       config.seed = options.seed + 1000003ULL * static_cast<std::uint64_t>(iteration);
       core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual),
-                          sched::make_scheduler(scheduler, options.seed), config);
+                          sched::SchedulerSpec(scheduler).build(options.seed), config);
       for (std::size_t w = 0; w < carried.size(); ++w) {
         engine.preload_cache(static_cast<cluster::WorkerIndex>(w), carried[w]);
       }

@@ -10,11 +10,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "msr/msr.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "util/table.hpp"
 
 using namespace dlaja;
@@ -41,6 +42,16 @@ int main(int argc, char** argv) {
   if (argc > 1) config.library_count = std::strtoul(argv[1], nullptr, 10);
   if (argc > 2) config.repository_count = std::strtoul(argv[2], nullptr, 10);
   const std::string scheduler_name = argc > 3 ? argv[3] : "bidding";
+  std::vector<cluster::WorkerConfig> fleet = msr::make_msr_fleet();
+  const sched::SchedulerSpec scheduler(scheduler_name);
+  const std::vector<sched::SpecIssue> issues = scheduler.validate(fleet.size());
+  if (!issues.empty()) {
+    std::cerr << "invalid scheduler spec:\n";
+    for (const sched::SpecIssue& issue : issues) {
+      std::cerr << "  " << issue.field << ": " << issue.message << "\n";
+    }
+    return 1;
+  }
 
   const SeedSequencer seeds(2026);
   const auto pipeline = msr::build_msr_pipeline(config, seeds);
@@ -53,8 +64,7 @@ int main(int argc, char** argv) {
   engine_config.seed = 2026;
   engine_config.estimation = cluster::SpeedEstimator::Mode::kHistoric;
   engine_config.probe_speeds = true;
-  core::Engine engine(msr::make_msr_fleet(), sched::make_scheduler(scheduler_name),
-                      engine_config);
+  core::Engine engine(std::move(fleet), scheduler.build(engine_config.seed), engine_config);
   engine.set_workflow(pipeline.workflow);
   const auto report = engine.run(pipeline.seed_jobs);
 

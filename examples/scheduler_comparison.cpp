@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "util/table.hpp"
 
 using namespace dlaja;
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
 
-  for (const std::string& name : sched::scheduler_names()) {
+  for (const std::string& name : sched::SchedulerSpec::known_types()) {
     core::ExperimentSpec spec;
     spec.scheduler = name;
     spec.job_config = workload::job_config_from_name(workload_name);

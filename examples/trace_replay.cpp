@@ -6,9 +6,10 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "util/table.hpp"
 #include "workload/trace_io.hpp"
 
@@ -32,11 +33,21 @@ int main(int argc, char** argv) {
   const auto loaded = workload::load_trace_file(path);
   TextTable table("replay of " + path);
   table.set_header({"scheduler", "exec (s)", "misses", "data (MB)"});
+  const std::vector<cluster::WorkerConfig> fleet =
+      cluster::make_fleet(cluster::FleetPreset::kAllEqual);
   for (const std::string name : {"bidding", "baseline"}) {
+    const sched::SchedulerSpec scheduler(name);
+    const std::vector<sched::SpecIssue> issues = scheduler.validate(fleet.size());
+    if (!issues.empty()) {
+      std::cerr << "invalid scheduler spec:\n";
+      for (const sched::SpecIssue& issue : issues) {
+        std::cerr << "  " << issue.field << ": " << issue.message << "\n";
+      }
+      return 1;
+    }
     core::EngineConfig config;
     config.seed = 99;
-    core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual),
-                        sched::make_scheduler(name), config);
+    core::Engine engine(fleet, scheduler.build(config.seed), config);
     const auto report = engine.run(loaded.jobs);
     table.add_row({name, fmt_fixed(report.exec_time_s, 1),
                    std::to_string(report.cache_misses),

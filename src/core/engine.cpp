@@ -353,11 +353,11 @@ void Engine::register_probes() {
     }
     if (node->cache().config().policy != storage::EvictionPolicy::kUnbounded) {
       probes_.add_invariant("cache.capacity", 0, [node, i]() -> std::string {
-        const double used = node->cache().used_mb();
-        const double cap = node->cache().config().capacity_mb;
-        if (used <= cap + 1e-9) return {};
-        return "worker " + std::to_string(i) + " cache holds " + std::to_string(used) +
-               " MB > capacity " + std::to_string(cap) + " MB";
+        const storage::ResourceCache& cache = node->cache();
+        if (!cache.over_capacity()) return {};
+        return "worker " + std::to_string(i) + " cache holds " +
+               std::to_string(cache.used_mb()) + " MB in " + std::to_string(cache.size()) +
+               " entries > capacity " + std::to_string(cache.config().capacity_mb) + " MB";
       });
     }
   }

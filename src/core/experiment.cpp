@@ -37,7 +37,8 @@ namespace {
 
 }  // namespace
 
-std::vector<metrics::RunReport> run_experiment(const ExperimentSpec& spec) {
+std::vector<metrics::RunReport> run_experiment(const ExperimentSpec& spec,
+                                               const IterationObserver& observer) {
   const workload::WorkloadSpec wspec =
       spec.custom_workload ? *spec.custom_workload : workload::make_workload_spec(spec.job_config);
   const SeedSequencer workload_seeds(spec.seed);
@@ -81,6 +82,7 @@ std::vector<metrics::RunReport> run_experiment(const ExperimentSpec& spec) {
       }
     }
 
+    if (observer.before) observer.before(iteration, engine);
     const auto wall_start = std::chrono::steady_clock::now();
     metrics::RunReport report;
     if (spec.open_arrivals) {
@@ -93,6 +95,7 @@ std::vector<metrics::RunReport> run_experiment(const ExperimentSpec& spec) {
     }
     report.wall_time_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+    if (observer.after) observer.after(iteration, engine);
     report.worker_config = spec.fleet_name();
     report.iteration = iteration;
     reports.push_back(std::move(report));

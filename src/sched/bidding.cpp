@@ -609,7 +609,7 @@ void BiddingScheduler::on_completion(const cluster::CompletionReport& report) {
       placed_estimates_.erase(placed_it);
       if (estimate_s > 0.0 && actual_s > 0.0) {
         // Placement quality: how the cached estimate compared to reality
-        // (1.0 = perfect; the BENCH_scale column summarises this).
+        // (1.0 = perfect; reports carry it as fanout.placement_quality.*).
         ctx_.metrics->registry()
             .histogram("fanout.placement_quality")
             .record(actual_s / estimate_s);

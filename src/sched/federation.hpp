@@ -60,9 +60,9 @@ struct FederationStats {
 class FederatedScheduler : public Scheduler {
  public:
   /// Builds the `spec.federation.partitions` policy instances up front
-  /// (throws std::invalid_argument on a bad policy spec, like any factory
-  /// construction would). Worker partitions and broker wiring happen in
-  /// attach().
+  /// (throws std::invalid_argument on a bad policy spec, as
+  /// SchedulerSpec::build_policy does). Worker partitions and broker wiring
+  /// happen in attach().
   FederatedScheduler(const SchedulerSpec& spec, std::uint64_t seed);
 
   [[nodiscard]] std::string name() const override;

@@ -8,7 +8,6 @@
 #include "sched/baseline.hpp"
 #include "sched/bidding.hpp"
 #include "sched/delay.hpp"
-#include "sched/factory.hpp"
 #include "sched/federation.hpp"
 #include "sched/matchmaking.hpp"
 #include "sched/simple.hpp"
@@ -209,7 +208,7 @@ bool apply_fed_option(const std::string& name, const Option& option, FederationS
 
 std::string join_names() {
   std::string names;
-  for (const std::string& name : scheduler_names()) {
+  for (const std::string& name : SchedulerSpec::known_types()) {
     if (!names.empty()) names += ", ";
     names += name;
   }
@@ -575,6 +574,14 @@ std::unique_ptr<Scheduler> SchedulerSpec::build(std::uint64_t seed) const {
   return std::make_unique<FederatedScheduler>(*this, seed);
 }
 
+const std::vector<std::string>& SchedulerSpec::known_types() {
+  static const std::vector<std::string> names = {
+      "bidding",         "bidding+learned", "baseline",    "spark-like",
+      "spark-like+hash", "spark-like+wave", "matchmaking", "delay",
+      "bar",             "random",          "round-robin", "least-queue"};
+  return names;
+}
+
 std::vector<SpecIssue> SchedulerSpec::validate(std::size_t worker_count) const {
   std::vector<SpecIssue> issues;
   if (!parse_error_.empty()) {
@@ -685,25 +692,6 @@ std::vector<SpecIssue> SchedulerSpec::validate(std::size_t worker_count) const {
     }
   }
   return issues;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy factory surface: thin wrappers over SchedulerSpec.
-
-std::unique_ptr<Scheduler> make_scheduler(const std::string& spec, std::uint64_t seed) {
-  return SchedulerSpec::parse(spec).build(seed);
-}
-
-std::vector<std::string> scheduler_names() {
-  return {"bidding",         "bidding+learned", "baseline",    "spark-like",
-          "spark-like+hash", "spark-like+wave", "matchmaking", "delay",
-          "bar",             "random",          "round-robin", "least-queue"};
-}
-
-std::string check_scheduler_spec(const std::string& spec, std::size_t worker_count) {
-  const std::vector<SpecIssue> issues =
-      SchedulerSpec::parse(spec).validate(worker_count);
-  return issues.empty() ? std::string{} : issues.front().message;
 }
 
 }  // namespace dlaja::sched

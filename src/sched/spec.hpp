@@ -1,11 +1,13 @@
 #pragma once
-// SchedulerSpec: the one structured description of a scheduler setup.
+// SchedulerSpec: the one scheduler API.
 //
-// Every way a scheduler reaches the engine — factory config strings
+// Every way a scheduler reaches the engine — config strings
 // ("bidding:fanout=probe:4"), scenario JSON (a "scheduler" string or
 // object), CLI flags — parses into this struct once and flows from here:
 // validation, serialization, and construction all read the same fields, so
 // no call site re-parses strings and no two surfaces can drift apart.
+// Callers build with `SchedulerSpec(text).build(seed)` and check with
+// `.validate(workers)`.
 //
 // Two interchangeable wire forms round-trip through the struct:
 //
@@ -17,6 +19,23 @@
 // parse-sugar). to_json() emits the string form when no federation is
 // configured — existing scenario files stay byte-identical — and the
 // object form otherwise.
+//
+// Config-string grammar: "name" or "name:key=val,key=val,...". Values may
+// themselves contain ':' (e.g. "bidding:fanout=probe:4"); keys are
+// comma-separated. Unknown names and unknown keys are errors that list the
+// valid choices.
+//
+// Per-scheduler keys:
+//   bidding     fanout=full|probe:K|cached:K  window=<s>  serialize=<bool>
+//               learn=<bool>  alpha=<0..1>  slack=<s>
+//   baseline    declines=<n>  prefetch=<n>  requeue_back=<bool>
+//   spark-like  placement=rr|hash  wave=<bool>
+//   delay       skips=<n>
+//   bar         window=<s>  moves=<n>
+//   matchmaking, random, round-robin, least-queue: no keys
+//
+// The legacy alias names ("bidding+learned", "spark-like+hash",
+// "spark-like+wave") keep working and may be combined with options.
 //
 // Federation ("fed." config keys / the "federation" JSON object) splits the
 // fleet across N concurrent scheduler instances, each running this spec's
@@ -103,8 +122,8 @@ class SchedulerSpec {
   SchedulerSpec(const std::string& config);  // NOLINT(google-explicit-constructor)
   SchedulerSpec(const char* config);         // NOLINT(google-explicit-constructor)
 
-  /// The config-string form (see factory.hpp for the per-scheduler keys;
-  /// federation fields ride along as "fed.partitions=2,fed.spill=1.5",
+  /// The config-string form (see the grammar above; federation fields
+  /// ride along as "fed.partitions=2,fed.spill_threshold=1.5",
   /// with "fed.weights" colon-separated: "fed.weights=2:1").
   [[nodiscard]] static SchedulerSpec parse(const std::string& config);
 
@@ -124,8 +143,8 @@ class SchedulerSpec {
   [[nodiscard]] std::string to_config_string() const;
 
   /// Structured validation: the stored parse error if any, unknown
-  /// scheduler names / option keys / bad values (messages verbatim from
-  /// the factory grammar), a probe/cached fan-out k exceeding the fleet —
+  /// scheduler names / option keys / bad values (the messages build()
+  /// throws), a probe/cached fan-out k exceeding the fleet —
   /// or, federated, the smallest partition — and federation field checks.
   /// `worker_count = 0` skips the fleet-dependent checks.
   [[nodiscard]] std::vector<SpecIssue> validate(std::size_t worker_count = 0) const;
@@ -134,12 +153,17 @@ class SchedulerSpec {
   /// scheduler when `federation.partitions <= 1`, a FederatedScheduler
   /// wrapping `partitions` instances of the policy otherwise. Throws
   /// std::invalid_argument on any problem validate() would report about
-  /// the policy itself.
-  [[nodiscard]] std::unique_ptr<Scheduler> build(std::uint64_t seed = 1) const;
+  /// the policy itself. `seed` drives the random push policy and the
+  /// federation layer; a run passes its own seed.
+  [[nodiscard]] std::unique_ptr<Scheduler> build(std::uint64_t seed) const;
 
   /// The single-instance policy scheduler, ignoring `federation` — what
   /// each federated instance runs internally.
-  [[nodiscard]] std::unique_ptr<Scheduler> build_policy(std::uint64_t seed = 1) const;
+  [[nodiscard]] std::unique_ptr<Scheduler> build_policy(std::uint64_t seed) const;
+
+  /// Every scheduler name parse() accepts, legacy aliases included, in the
+  /// order the "unknown scheduler" error lists them.
+  [[nodiscard]] static const std::vector<std::string>& known_types();
 
   /// Base scheduler name after alias normalization ("bidding", ...).
   [[nodiscard]] const std::string& type() const noexcept { return type_; }

@@ -44,13 +44,15 @@ void ResourceCache::admit(const Resource& resource) {
   enforce_capacity();
 }
 
+bool ResourceCache::over_capacity() const noexcept {
+  return config_.policy != EvictionPolicy::kUnbounded && order_.size() > 1 &&
+         used_bytes_ > bytes_of(config_.capacity_mb);
+}
+
 void ResourceCache::enforce_capacity() {
-  if (config_.policy == EvictionPolicy::kUnbounded) return;
-  const std::uint64_t capacity = bytes_of(config_.capacity_mb);
-  // Evict from the back (least recent / oldest) until under capacity, but
-  // never evict the front entry even if it alone exceeds the capacity — a
-  // clone in use cannot be deleted out from under its job.
-  while (used_bytes_ > capacity && order_.size() > 1) {
+  // Evict from the back (least recent / oldest); over_capacity() never asks
+  // for the front entry to go.
+  while (over_capacity()) {
     const Resource victim = order_.back();
     order_.pop_back();
     entries_.erase(victim.id);

@@ -88,6 +88,13 @@ class ResourceCache {
   /// Number of resident resources.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
+  /// The capacity contract: a bounded cache is over capacity when its
+  /// entries exceed the capacity and there is more than one of them. A lone
+  /// most-recent entry larger than the capacity stays resident (a clone in
+  /// use cannot be deleted out from under its job). Eviction runs until
+  /// this is false; the telemetry watchdog checks it at every sample.
+  [[nodiscard]] bool over_capacity() const noexcept;
+
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 

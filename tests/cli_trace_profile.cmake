@@ -1,13 +1,16 @@
 # CLI test for the tracing tools, run via `cmake -P` with:
 #   -DDLAJA_RUN_BIN=<path to dlaja_run> -DDLAJA_TRACE_BIN=<path to dlaja_trace>
-#   -DWORK_DIR=<scratch directory>
+#   -DWORK_DIR=<scratch directory> -DSOURCE_DIR=<repository root>
 #
 # Covers: dlaja_run --trace emits a non-empty Chrome trace, dlaja_trace
 # profile prints the per-component self-time table (from both a trace JSON
-# and a workload replay), and dlaja_trace info reports n/a instead of the
-# numeric scan sentinels on a trace without resource-bearing jobs.
+# and a workload replay), dlaja_trace info reports n/a instead of the
+# numeric scan sentinels on a trace without resource-bearing jobs,
+# dlaja_run's timeline and telemetry describe the last reported iteration,
+# and dlaja_trace replay seeds its scheduler with --seed and rejects a
+# scheduler spec its fleet cannot run.
 
-foreach(var DLAJA_RUN_BIN DLAJA_TRACE_BIN WORK_DIR)
+foreach(var DLAJA_RUN_BIN DLAJA_TRACE_BIN WORK_DIR SOURCE_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "${var} must be passed with -D${var}=...")
   endif()
@@ -26,6 +29,43 @@ function(run_checked out_var)
     message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${stdout}\n${stderr}")
   endif()
   set(${out_var} "${stdout}" PARENT_SCOPE)
+endfunction()
+
+# Runs a command that must fail; its stderr goes to `err_var`.
+function(run_failing err_var)
+  execute_process(
+    COMMAND ${ARGN}
+    WORKING_DIRECTORY "${WORK_DIR}"
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr
+    RESULT_VARIABLE code)
+  if(code EQUAL 0)
+    message(FATAL_ERROR "command should have failed: ${ARGN}\n${stdout}")
+  endif()
+  set(${err_var} "${stderr}" PARENT_SCOPE)
+endfunction()
+
+# A decimal CSV field as integer microseconds (digits past the sixth
+# decimal are dropped); math(EXPR) has integers only.
+function(to_us out_var text)
+  if(NOT text MATCHES "^([0-9]+)(\\.([0-9]*))?$")
+    message(FATAL_ERROR "not a non-negative decimal: '${text}'")
+  endif()
+  set(whole "${CMAKE_MATCH_1}")
+  string(SUBSTRING "${CMAKE_MATCH_3}000000" 0 6 frac)
+  string(REGEX REPLACE "^0+([0-9])" "\\1" frac "${frac}")
+  math(EXPR us "${whole} * 1000000 + ${frac}")
+  set(${out_var} "${us}" PARENT_SCOPE)
+endfunction()
+
+# Field `column` (0-based) of row `row` of a CSV file; a negative `row`
+# counts from the end (-1 = last row).
+function(csv_field out_var path row column)
+  file(STRINGS "${path}" lines)
+  list(GET lines ${row} line)
+  string(REPLACE "," ";" fields "${line}")
+  list(GET fields ${column} value)
+  set(${out_var} "${value}" PARENT_SCOPE)
 endfunction()
 
 function(expect_contains text needle what)
@@ -75,5 +115,66 @@ string(FIND "${info_out}" "1000000000" sentinel_pos)
 if(NOT sentinel_pos EQUAL -1)
   message(FATAL_ERROR "info printed a sentinel-sized repo:\n${info_out}")
 endif()
+
+# 5. Timeline and telemetry come from the last reported iteration: both end
+# where the last CSV row's run ends (paper_bidding's three iterations end at
+# 456.3, 306.1 and 312.7 s), not at some other run's end.
+set(runs_csv "${WORK_DIR}/paper.runs.csv")
+set(timeline_csv "${WORK_DIR}/paper.timeline.csv")
+set(telemetry_csv "${WORK_DIR}/paper.telemetry.csv")
+run_checked(out "${DLAJA_RUN_BIN}" --scenario "${SOURCE_DIR}/examples/scenarios/paper_bidding.json"
+            --csv "${runs_csv}" --timeline "${timeline_csv}" --telemetry-csv "${telemetry_csv}")
+csv_field(exec_s "${runs_csv}" -1 5)
+to_us(exec_us "${exec_s}")
+csv_field(timeline_first "${timeline_csv}" 1 0)
+csv_field(timeline_second "${timeline_csv}" 2 0)
+csv_field(timeline_last "${timeline_csv}" -1 0)
+to_us(first_us "${timeline_first}")
+to_us(second_us "${timeline_second}")
+to_us(last_us "${timeline_last}")
+math(EXPR step_us "${second_us} - ${first_us}")
+math(EXPR gap_us "${exec_us} - ${last_us}")
+if(gap_us LESS 0 OR gap_us GREATER step_us)
+  message(FATAL_ERROR "timeline ends at ${timeline_last} s, more than one step "
+                      "(${step_us} us) from the last run's exec_time_s ${exec_s}")
+endif()
+csv_field(sample_first "${telemetry_csv}" 1 1)
+csv_field(sample_second "${telemetry_csv}" 2 1)
+csv_field(sample_last "${telemetry_csv}" -1 1)
+to_us(first_us "${sample_first}")
+to_us(second_us "${sample_second}")
+to_us(last_us "${sample_last}")
+math(EXPR bound_us "${exec_us} + 2 * (${second_us} - ${first_us})")
+if(NOT last_us LESS bound_us)
+  message(FATAL_ERROR "telemetry ends at ${sample_last} s, two intervals or more "
+                      "past the last run's exec_time_s ${exec_s}")
+endif()
+
+# 6. replay seeds its scheduler with --seed: the random policy places the
+# 20-job trace differently at seeds 1, 2 and 3 (a scheduler stuck on one
+# seed reports the same misses every time).
+set(replay_misses "")
+foreach(seed 1 2 3)
+  run_checked(replay_out "${DLAJA_TRACE_BIN}" replay "${workload_csv}" --scheduler random
+              --seed ${seed})
+  if(NOT replay_out MATCHES "cache misses *\\| *([0-9]+)")
+    message(FATAL_ERROR "replay printed no cache misses:\n${replay_out}")
+  endif()
+  list(APPEND replay_misses "${CMAKE_MATCH_1}")
+endforeach()
+list(REMOVE_DUPLICATES replay_misses)
+list(LENGTH replay_misses distinct)
+if(distinct LESS 2)
+  message(FATAL_ERROR "replay --scheduler random reported ${replay_misses} misses at "
+                      "every seed")
+endif()
+
+# 7. replay rejects a scheduler spec its fleet cannot run, with dlaja_run's
+# field: message line.
+run_failing(err "${DLAJA_TRACE_BIN}" replay "${workload_csv}"
+            --scheduler bidding:fanout=probe:10 --workers 5)
+expect_contains("${err}"
+  "scheduler: scheduler 'bidding:fanout=probe:10': probe fan-out k=10 exceeds the fleet (5 workers)"
+  "replay with an oversized probe fan-out")
 
 message(STATUS "cli_trace_profile: all checks passed")

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/csv.hpp"
 #include "workload/generator.hpp"
@@ -62,14 +62,14 @@ TEST(Arrivals, AllProcessesRunToCompletion) {
                              workload::WorkloadSpec::ArrivalProcess::kUniform,
                              workload::WorkloadSpec::ArrivalProcess::kBursty}) {
     const auto workload = workload::generate_workload(base_spec(arrival), SeedSequencer(3));
-    core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"),
+    core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec("bidding").build(1),
                         testutil::noiseless());
     EXPECT_EQ(engine.run(workload.jobs).jobs_completed, 40u);
   }
 }
 
 TEST(Percentiles, ReportFieldsOrderedAndExported) {
-  core::Engine engine(testutil::uniform_fleet(2), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(2), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   const auto report = engine.run(testutil::distinct_jobs(20, 150.0, 0.2));
   EXPECT_GT(report.p50_turnaround_s, 0.0);
@@ -84,7 +84,7 @@ TEST(Percentiles, ReportFieldsOrderedAndExported) {
 }
 
 TEST(Percentiles, SingleJobDegenerates) {
-  core::Engine engine(testutil::uniform_fleet(1), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(1), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   const auto report = engine.run(testutil::distinct_jobs(1, 100.0));
   EXPECT_DOUBLE_EQ(report.p50_turnaround_s, report.p99_turnaround_s);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "storage/cache.hpp"
 
 namespace dlaja::storage {
@@ -100,6 +102,38 @@ TEST(Cache, OversizedSingleResourceIsKept) {
   cache.admit({2, 10.0});  // now 1 (LRU, back) gets evicted
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
+}
+
+TEST(Cache, LoneOversizeEntryIsWithinTheCapacityContract) {
+  // over_capacity() is the contract eviction restores and the telemetry
+  // watchdog checks: only a cache with two or more entries can break it.
+  for (const EvictionPolicy policy : {EvictionPolicy::kLru, EvictionPolicy::kFifo}) {
+    CacheConfig config;
+    config.policy = policy;
+    config.capacity_mb = 300.0;
+    ResourceCache cache(config);
+    cache.admit({1, 301.9});
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_GT(cache.used_mb(), config.capacity_mb);
+    EXPECT_FALSE(cache.over_capacity());
+    // A second entry makes two over capacity: the older one goes, even
+    // though the newcomer alone would fit.
+    cache.admit({2, 10.0});
+    EXPECT_FALSE(cache.contains(1));
+    EXPECT_TRUE(cache.contains(2));
+    EXPECT_FALSE(cache.over_capacity());
+    // Restoring a lone oversize snapshot keeps it, within the contract.
+    const std::vector<Resource> lone = {{3, 900.0}};
+    cache.restore(lone);
+    EXPECT_EQ(cache.snapshot(), lone);
+    EXPECT_FALSE(cache.over_capacity());
+  }
+  // An unbounded cache has no capacity to exceed, whatever capacity_mb says.
+  ResourceCache unbounded(CacheConfig{EvictionPolicy::kUnbounded, 1.0});
+  unbounded.admit({1, 10.0});
+  unbounded.admit({2, 10.0});
+  EXPECT_EQ(unbounded.size(), 2u);
+  EXPECT_FALSE(unbounded.over_capacity());
 }
 
 TEST(Cache, ExplicitEvict) {

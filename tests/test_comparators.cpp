@@ -5,10 +5,10 @@
 
 #include "core/engine.hpp"
 #include "sched/delay.hpp"
-#include "sched/factory.hpp"
 #include "sched/matchmaking.hpp"
 #include "sched/simple.hpp"
 #include "sched/spark_like.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 
 namespace dlaja::sched {
@@ -92,7 +92,7 @@ TEST(Matchmaking, BeatsRoundRobinOnRepetitiveWorkload) {
   // misaligned with the resource cycle, so it spreads each resource over
   // all workers; matchmaking converges onto the workers that hold them.
   const auto misses_with = [](const std::string& name) {
-    core::Engine engine(uniform_fleet(3), make_scheduler(name), noiseless());
+    core::Engine engine(uniform_fleet(3), SchedulerSpec(name).build(1), noiseless());
     std::vector<workflow::Job> jobs;
     for (std::size_t i = 0; i < 15; ++i) {
       jobs.push_back(resource_job(i + 1, 1 + (i % 2), 300.0, 12.0 * static_cast<double>(i)));
@@ -184,12 +184,12 @@ TEST(SimplePush, LeastQueueBalancesHeterogeneousService) {
 // --- factory ----------------------------------------------------------------
 
 TEST(Factory, AllNamesConstructAndReportTheirName) {
-  for (const std::string& name : scheduler_names()) {
-    const auto scheduler = make_scheduler(name);
+  for (const std::string& name : SchedulerSpec::known_types()) {
+    const auto scheduler = SchedulerSpec(name).build(1);
     ASSERT_NE(scheduler, nullptr) << name;
     EXPECT_EQ(scheduler->name(), name);
   }
-  EXPECT_THROW(make_scheduler("bogus"), std::invalid_argument);
+  EXPECT_THROW(SchedulerSpec("bogus").build(1), std::invalid_argument);
 }
 
 }  // namespace

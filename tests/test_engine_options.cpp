@@ -10,7 +10,7 @@
 #include "core/engine.hpp"
 #include "metrics/timeline.hpp"
 #include "msr/msr.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/csv.hpp"
 
@@ -29,7 +29,8 @@ TEST_P(EngineOptions, ConservationHoldsWithFailure) {
   config.origin_capacity_mbps = 120.0;
   config.lifecycle.enabled = reassign;
 
-  core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler(scheduler), config);
+  core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec(scheduler).build(1),
+                      config);
   engine.fail_worker_at(1, ticks_from_seconds(12.0));
   const auto report = engine.run(testutil::distinct_jobs(18, 250.0, 0.5));
 
@@ -75,7 +76,7 @@ TEST(CostModel, SingleWorkerNoiselessMatchesArithmetic) {
   // of service; end-to-end adds only allocation latency (bid compute +
   // message hops), which is bounded by ~0.1 s here.
   core::Engine engine(testutil::uniform_fleet(1, 50.0, 100.0),
-                      sched::make_scheduler("bidding"), testutil::noiseless());
+                      sched::SchedulerSpec("bidding").build(1), testutil::noiseless());
   auto jobs = testutil::distinct_jobs(3, 100.0);
   for (auto& job : jobs) job.fixed_cost = ticks_from_seconds(0.5);
   const auto report = engine.run(jobs);
@@ -89,7 +90,7 @@ TEST(CostModel, SingleWorkerNoiselessMatchesArithmetic) {
 
 TEST(CostModel, CachedJobsSkipTransferArithmetic) {
   core::Engine engine(testutil::uniform_fleet(1, 50.0, 100.0),
-                      sched::make_scheduler("bidding"), testutil::noiseless());
+                      sched::SchedulerSpec("bidding").build(1), testutil::noiseless());
   engine.preload_cache(0, std::vector<storage::Resource>{{1, 100.0}, {2, 100.0}});
   const auto report = engine.run(testutil::distinct_jobs(2, 100.0));
   // 2 x 1 s processing only.
@@ -118,7 +119,7 @@ TEST(CoOccurrenceCsv, WritesSortedPairs) {
 // --- per-job CSV export ---------------------------------------------------------
 
 TEST(JobsCsv, ExportsOneRowPerJob) {
-  core::Engine engine(testutil::uniform_fleet(2), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(2), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   (void)engine.run(testutil::distinct_jobs(4, 50.0, 1.0));
   std::ostringstream out;

@@ -1,10 +1,13 @@
-// Tests for the experiment runner: iteration carry-over, matrix fan-out,
-// determinism under parallel execution.
+// Tests for the experiment runner: iteration carry-over, the per-iteration
+// observer, matrix fan-out, determinism under parallel execution.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "sched/bidding.hpp"
@@ -110,6 +113,49 @@ TEST(Experiment, CustomFleetIsUsed) {
   const auto reports = run_experiment(spec);
   EXPECT_EQ(reports[0].worker_config, "custom");
   EXPECT_EQ(reports[0].workers.size(), 2u);
+}
+
+TEST(Experiment, ObserverSeesEachIterationOnceOnTheEngineItReports) {
+  const ExperimentSpec spec = small_spec("bidding");
+  std::vector<std::pair<char, int>> calls;
+  std::vector<std::uint64_t> misses;
+  std::vector<double> data_mb;
+  std::vector<std::vector<std::vector<storage::Resource>>> caches_after;
+  IterationObserver observer;
+  observer.before = [&](int iteration, Engine& engine) {
+    calls.emplace_back('b', iteration);
+    // Built, carried caches preloaded, nothing run yet.
+    EXPECT_EQ(engine.metrics().job_count(), 0u) << iteration;
+    if (iteration > 0) {
+      EXPECT_EQ(engine.cache_snapshots(), caches_after.back()) << iteration;
+    }
+  };
+  observer.after = [&](int iteration, Engine& engine) {
+    calls.emplace_back('a', iteration);
+    misses.push_back(engine.metrics().total_cache_misses());
+    data_mb.push_back(engine.metrics().total_data_load_mb());
+    caches_after.push_back(engine.cache_snapshots());
+  };
+  const auto reports = run_experiment(spec, observer);
+  const std::vector<std::pair<char, int>> expected = {{'b', 0}, {'a', 0}, {'b', 1},
+                                                      {'a', 1}, {'b', 2}, {'a', 2}};
+  EXPECT_EQ(calls, expected);
+  ASSERT_EQ(reports.size(), 3u);
+  ASSERT_EQ(misses.size(), 3u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(misses[i], reports[i].cache_misses) << i;
+    EXPECT_EQ(data_mb[i], reports[i].data_load_mb) << i;
+  }
+  // Observing changes nothing: the observed run, a run with an empty
+  // observer and a plain run write the same CSV rows, wall time aside.
+  const auto csv = [](std::vector<metrics::RunReport> runs) {
+    for (metrics::RunReport& r : runs) r.wall_time_s = 0.0;
+    std::ostringstream out;
+    metrics::write_reports_csv(out, runs);
+    return out.str();
+  };
+  EXPECT_EQ(csv(run_experiment(spec)), csv(reports));
+  EXPECT_EQ(csv(run_experiment(spec, IterationObserver{})), csv(reports));
 }
 
 TEST(Experiment, MatrixMatchesSequentialCells) {

@@ -15,7 +15,7 @@
 #include "core/engine.hpp"
 #include "fault/plan.hpp"
 #include "sched/bidding.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -113,7 +113,7 @@ TEST(FaultFree, EmptyPlanMatchesPlainRunExactly) {
     auto fleet = testutil::uniform_fleet(3);
     core::EngineConfig config = testutil::noiseless();
     if (with_empty_plan) config.faults = fault::FaultPlan::parse("");
-    core::Engine engine(fleet, sched::make_scheduler("bidding"), config);
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1), config);
     return engine.run(testutil::distinct_jobs(12, 150.0, 0.5));
   };
   const auto plain = run_once(false);
@@ -131,7 +131,7 @@ TEST(FaultFree, GenerousLifecycleDoesNotPerturbJobTimings) {
     auto fleet = testutil::uniform_fleet(3);
     core::EngineConfig config = testutil::noiseless();
     config.lifecycle.enabled = lifecycle;
-    core::Engine engine(fleet, sched::make_scheduler("bidding"), config);
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1), config);
     return engine.run(testutil::distinct_jobs(12, 150.0, 0.5));
   };
   const auto plain = run_once(false);
@@ -149,7 +149,8 @@ TEST(FaultDeterminism, SameSeedAndPlanReproduceExactly) {
   const char* kPlan = "crashes:p=0.7,window=40,down=15;drop:p=0.03;dup:p=0.02";
   const auto run_once = [&] {
     auto fleet = testutil::uniform_fleet(4);
-    core::Engine engine(fleet, sched::make_scheduler("bidding"), fault_config(kPlan, 7));
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1),
+                        fault_config(kPlan, 7));
     return engine.run(testutil::distinct_jobs(30, 200.0, 0.5));
   };
   const auto a = run_once();
@@ -169,7 +170,8 @@ TEST(FaultConservation, EveryJobTerminatesAcrossSchedulersAndSeeds) {
     for (const std::uint64_t seed : {1u, 7u, 42u}) {
       SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
       auto fleet = testutil::uniform_fleet(4);
-      core::Engine engine(fleet, sched::make_scheduler(name), fault_config(kPlan, seed));
+      core::Engine engine(fleet, sched::SchedulerSpec(name).build(1),
+                          fault_config(kPlan, seed));
       const auto report = engine.run(testutil::distinct_jobs(40, 200.0, 0.5));
       EXPECT_EQ(report.jobs_lost, 0u);
       ASSERT_NE(engine.lifecycle(), nullptr);
@@ -190,7 +192,7 @@ TEST(FaultLifecycle, AggressiveLeasesReArmWhileTheWorkerStillHolds) {
   config.lifecycle.enabled = true;
   config.lifecycle.lease_min_s = 1.0;
   config.lifecycle.lease_factor = 0.1;
-  core::Engine engine(fleet, sched::make_scheduler("bidding"), config);
+  core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1), config);
   // 500 MB: 10 s transfer + 5 s processing, far beyond the ~1.5 s lease.
   const auto report = engine.run(testutil::distinct_jobs(2, 500.0));
   EXPECT_EQ(report.jobs_completed, 2u);
@@ -204,7 +206,7 @@ TEST(FaultLifecycle, AggressiveLeasesReArmWhileTheWorkerStillHolds) {
 
 TEST(FaultLifecycle, CrashVictimsRetryAndTheWorkerRejoins) {
   auto fleet = testutil::uniform_fleet(2);
-  core::Engine engine(fleet, sched::make_scheduler("bidding"),
+  core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1),
                       fault_config("crash:w=1,at=4,down=10"));
   // Jobs every 3 s; at t=4 worker 1 is mid-job, and arrivals continue well
   // past its recovery at t=14.
@@ -231,7 +233,8 @@ TEST(FaultLifecycle, CrashVictimsRetryAndTheWorkerRejoins) {
 
 TEST(FaultLifecycle, TotalMessageLossDeadLettersInsteadOfHanging) {
   auto fleet = testutil::uniform_fleet(2);
-  core::Engine engine(fleet, sched::make_scheduler("bidding"), fault_config("drop:p=1"));
+  core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1),
+                      fault_config("drop:p=1"));
   const auto report = engine.run(testutil::distinct_jobs(3, 100.0));
   EXPECT_EQ(report.jobs_lost, 0u);
   EXPECT_EQ(report.jobs_dead_lettered, 3u);
@@ -264,7 +267,7 @@ class AllDead : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AllDead, PermanentFleetLossDeadLettersEveryJob) {
   auto fleet = testutil::uniform_fleet(3);
-  core::Engine engine(fleet, sched::make_scheduler(GetParam()),
+  core::Engine engine(fleet, sched::SchedulerSpec(GetParam()).build(1),
                       fault_config("crash:w=0,at=1;crash:w=1,at=1;crash:w=2,at=1"));
   // 1000 MB jobs take ~21 s, so nothing finishes before the fleet dies.
   const auto report = engine.run(testutil::distinct_jobs(5, 1000.0));
@@ -298,7 +301,7 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, AllDead,
 TEST(FaultInjection, DegradeWindowSlowsTransfers) {
   const auto run_once = [](const char* spec) {
     auto fleet = testutil::uniform_fleet(1);
-    core::Engine engine(fleet, sched::make_scheduler("bidding"), fault_config(spec));
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1), fault_config(spec));
     return engine.run(testutil::distinct_jobs(1, 100.0)).exec_time_s;
   };
   const double plain = run_once("");
@@ -311,7 +314,7 @@ TEST(FaultInjection, RandomCrashWindowsRespectTheSeed) {
   const char* kPlan = "crashes:p=0.9,window=10,down=5";
   const auto crashes_with_seed = [&](std::uint64_t seed) {
     auto fleet = testutil::uniform_fleet(4);
-    core::Engine engine(fleet, sched::make_scheduler("bidding"),
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1),
                         fault_config(kPlan, seed));
     (void)engine.run(testutil::distinct_jobs(10, 100.0, 1.0));
     return engine.worker_crashes();

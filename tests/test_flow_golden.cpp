@@ -18,7 +18,7 @@
 
 #include "cluster/config.hpp"
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "workload/generator.hpp"
 
 namespace dlaja {
@@ -44,7 +44,7 @@ metrics::RunReport run_shared_cell(const std::string& scheduler, std::uint64_t s
   config.shared_bandwidth = true;
   config.origin_capacity_mbps = origin_mbps;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual),
-                      sched::make_scheduler(scheduler), config);
+                      sched::SchedulerSpec(scheduler).build(1), config);
   metrics::RunReport report = engine.run(workload.jobs);
   *events_fired = engine.simulator().fired();
   return report;

@@ -8,8 +8,8 @@
 #include "workload/trace_io.hpp"
 #include "msr/msr.hpp"
 #include "sched/baseline.hpp"
-#include "sched/factory.hpp"
 #include "sched/bidding.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 
 namespace dlaja {
@@ -171,7 +171,7 @@ TEST(Integration, FaultInjectionAcrossSchedulers) {
   for (const std::string name : {"bidding", "baseline", "matchmaking", "delay"}) {
     core::EngineConfig config;
     config.seed = 7;
-    core::Engine engine(uniform_fleet(3), sched::make_scheduler(name), config);
+    core::Engine engine(uniform_fleet(3), sched::SchedulerSpec(name).build(1), config);
     engine.fail_worker_at(1, ticks_from_seconds(20.0));
     const auto jobs = testutil::distinct_jobs(30, 300.0, 1.0);
     const auto report = engine.run(jobs);

@@ -12,7 +12,7 @@
 
 #include "cluster/config.hpp"
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "workload/generator.hpp"
 
 namespace dlaja {
@@ -36,7 +36,7 @@ metrics::RunReport run_cell(const std::string& scheduler, std::uint64_t seed,
   core::EngineConfig config;
   config.seed = seed;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
-                      sched::make_scheduler(scheduler), config);
+                      sched::SchedulerSpec(scheduler).build(1), config);
   metrics::RunReport report = engine.run(workload.jobs);
   EXPECT_TRUE(engine.broker().stats().conserved());
   *events_fired = engine.simulator().fired();
@@ -94,7 +94,7 @@ TEST(ShardGolden, SingleShardMatchesClassicKernel) {
   config.seed = 42;
   config.shards = 1;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
-                      sched::make_scheduler("bidding"), config);
+                      sched::SchedulerSpec("bidding").build(1), config);
   const metrics::RunReport report = engine.run(workload.jobs);
   EXPECT_TRUE(engine.broker().stats().conserved());
   EXPECT_EQ(report.exec_time_s, 0x1.d6922fad6cb53p+7);

@@ -8,7 +8,7 @@
 #include "core/engine.hpp"
 #include "metrics/report.hpp"
 #include "msr/msr.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "workload/trace_io.hpp"
 
@@ -73,7 +73,7 @@ TEST(MsrFlatten, RunsThroughAGenericEngine) {
   const auto config = tiny_msr();
   const auto pipeline = msr::build_msr_pipeline(config, SeedSequencer(42));
   const auto workload = msr::flatten_to_workload(pipeline, config);
-  core::Engine engine(msr::make_msr_fleet(3), sched::make_scheduler("bidding"),
+  core::Engine engine(msr::make_msr_fleet(3), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   const auto report = engine.run(workload.jobs);
   EXPECT_EQ(report.jobs_completed, workload.jobs.size());
@@ -94,7 +94,7 @@ TEST(Fairness, JainIndexFormula) {
 }
 
 TEST(Fairness, ReportCarriesIndexAndCsvExportsIt) {
-  core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("round-robin"),
+  core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec("round-robin").build(1),
                       testutil::noiseless());
   auto report = engine.run(testutil::distinct_jobs(16, 100.0, 1.0));
   // Equal workers, equal jobs, round-robin: near-perfect fairness.
@@ -109,7 +109,7 @@ TEST(Fairness, LocalityTradesFairnessAsThePaperDescribes) {
   // task allocation". On a repetitive workload the locality scheduler
   // concentrates work on clone holders; round-robin spreads it evenly.
   const auto fairness_of = [](const std::string& scheduler) {
-    core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler(scheduler),
+    core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec(scheduler).build(1),
                         testutil::noiseless());
     std::vector<workflow::Job> jobs;
     for (std::size_t i = 0; i < 24; ++i) {

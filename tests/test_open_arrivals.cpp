@@ -12,7 +12,7 @@
 
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -165,7 +165,7 @@ TEST(RunStream, CompletesEveryArrivalAndCountsSojourns) {
   spec.duration_s = 1e9;
   spec.max_jobs = 200;
   OpenArrivalStream stream(small_body(), spec, SeedSequencer(21));
-  core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   const auto report = engine.run_stream([&stream] { return stream.next(); });
   EXPECT_EQ(report.jobs_completed, 200u);
@@ -181,7 +181,7 @@ TEST(RunStream, BitIdenticalAcrossRuns) {
     spec.rate_per_s = 8.0;
     spec.duration_s = 120.0;
     OpenArrivalStream stream(small_body(), spec, SeedSequencer(22));
-    core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"),
+    core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec("bidding").build(1),
                         testutil::noiseless(9));
     return engine.run_stream([&stream] { return stream.next(); });
   };
@@ -208,12 +208,12 @@ TEST(RunStream, RetiredAggregatesMatchClosedBatchOnSameJobs) {
   OpenArrivalStream stream(small_body(), spec, SeedSequencer(23));
   const std::vector<workflow::Job> jobs = drain(stream);
 
-  core::Engine closed(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
+  core::Engine closed(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless(5));
   const auto closed_report = closed.run(jobs);
 
   std::size_t cursor = 0;
-  core::Engine streamed(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
+  core::Engine streamed(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
                         testutil::noiseless(5));
   const auto streamed_report = streamed.run_stream([&]() -> std::optional<workflow::Job> {
     if (cursor >= jobs.size()) return std::nullopt;
@@ -241,7 +241,7 @@ TEST(RunStream, MemoryStaysBoundedByRetirement) {
   spec.max_jobs = 5000;
   OpenArrivalStream stream(small_body(), spec, SeedSequencer(24));
   core::Engine engine(testutil::uniform_fleet(8, 200.0, 400.0),
-                      sched::make_scheduler("bidding"), testutil::noiseless());
+                      sched::SchedulerSpec("bidding").build(1), testutil::noiseless());
   const auto report = engine.run_stream([&stream] { return stream.next(); });
   EXPECT_EQ(report.jobs_completed, 5000u);
   EXPECT_EQ(engine.metrics().retired().count, 5000u);
@@ -256,7 +256,8 @@ TEST(RunStream, TelemetryGaugesAreRegistered) {
   core::EngineConfig config = testutil::noiseless();
   config.telemetry.interval = ticks_from_seconds(5.0);
   config.telemetry.watchdog = true;
-  core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"), config);
+  core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
+                      config);
   (void)engine.run_stream([&stream] { return stream.next(); });
   ASSERT_TRUE(engine.telemetry().has_value());
   const auto& names = engine.telemetry()->names;
@@ -267,7 +268,7 @@ TEST(RunStream, TelemetryGaugesAreRegistered) {
 }
 
 TEST(RunStream, NullSourceIsRejected) {
-  core::Engine engine(testutil::uniform_fleet(2), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(2), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   EXPECT_THROW((void)engine.run_stream(nullptr), std::invalid_argument);
 }

@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 
 namespace dlaja {
 namespace {
@@ -96,7 +96,7 @@ TEST_P(SchedulerInvariants, TimelineMonotonicPerJob) {
   config.noise = spec.noise;
   const auto workload =
       workload::generate_workload(*spec.custom_workload, SeedSequencer(spec.seed));
-  core::Engine engine(cluster::make_fleet(spec.fleet), spec.scheduler.build(),
+  core::Engine engine(cluster::make_fleet(spec.fleet), spec.scheduler.build(spec.seed),
                       config);
   (void)engine.run(workload.jobs);
   for (const auto* job : engine.metrics().jobs_in_arrival_order()) {

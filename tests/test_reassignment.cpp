@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 
 namespace dlaja::core {
@@ -23,7 +23,7 @@ EngineConfig with_leases(std::uint64_t seed = 42) {
 }
 
 TEST(Reassignment, EveryLogicalJobCompletesDespiteWorkerDeath) {
-  Engine engine(uniform_fleet(3), sched::make_scheduler("bidding"), with_leases());
+  Engine engine(uniform_fleet(3), sched::SchedulerSpec("bidding").build(1), with_leases());
   engine.fail_worker_at(1, ticks_from_seconds(15.0));
   const auto report = engine.run(distinct_jobs(20, 300.0, 0.5));
   // Each of the 20 logical jobs completes exactly once: dead attempts are
@@ -35,7 +35,7 @@ TEST(Reassignment, EveryLogicalJobCompletesDespiteWorkerDeath) {
 }
 
 TEST(Reassignment, OffByDefaultLosesJobs) {
-  Engine engine(uniform_fleet(3), sched::make_scheduler("bidding"), noiseless());
+  Engine engine(uniform_fleet(3), sched::SchedulerSpec("bidding").build(1), noiseless());
   engine.fail_worker_at(1, ticks_from_seconds(15.0));
   const auto report = engine.run(distinct_jobs(20, 300.0, 0.5));
   EXPECT_LT(report.jobs_completed, 20u);
@@ -44,7 +44,7 @@ TEST(Reassignment, OffByDefaultLosesJobs) {
 }
 
 TEST(Reassignment, SurvivorsAbsorbTheDeadWorkersQueue) {
-  Engine engine(uniform_fleet(2), sched::make_scheduler("round-robin"), with_leases());
+  Engine engine(uniform_fleet(2), sched::SchedulerSpec("round-robin").build(1), with_leases());
   // Round-robin gives worker 1 exactly half of the 10 jobs; it dies almost
   // immediately, so nearly all of its share must move to worker 0.
   engine.fail_worker_at(1, ticks_from_seconds(1.0));
@@ -57,7 +57,7 @@ TEST(Reassignment, SurvivorsAbsorbTheDeadWorkersQueue) {
 
 TEST(Reassignment, WorksAcrossSchedulers) {
   for (const std::string name : {"bidding", "matchmaking", "delay", "spark-like", "bar"}) {
-    Engine engine(uniform_fleet(3), sched::make_scheduler(name), with_leases(7));
+    Engine engine(uniform_fleet(3), sched::SchedulerSpec(name).build(1), with_leases(7));
     engine.fail_worker_at(2, ticks_from_seconds(10.0));
     const auto report = engine.run(distinct_jobs(15, 200.0, 0.5));
     EXPECT_EQ(report.jobs_completed, 15u) << name;
@@ -67,7 +67,7 @@ TEST(Reassignment, WorksAcrossSchedulers) {
 }
 
 TEST(Reassignment, MultipleFailuresStillDrainEverything) {
-  Engine engine(uniform_fleet(4), sched::make_scheduler("bidding"), with_leases());
+  Engine engine(uniform_fleet(4), sched::SchedulerSpec("bidding").build(1), with_leases());
   engine.fail_worker_at(0, ticks_from_seconds(8.0));
   engine.fail_worker_at(3, ticks_from_seconds(20.0));
   const auto report = engine.run(distinct_jobs(24, 200.0, 0.5));
@@ -82,7 +82,7 @@ TEST(Reassignment, MultipleFailuresStillDrainEverything) {
 }
 
 TEST(Reassignment, NoFailureMeansNoReassignment) {
-  Engine engine(uniform_fleet(2), sched::make_scheduler("bidding"), with_leases());
+  Engine engine(uniform_fleet(2), sched::SchedulerSpec("bidding").build(1), with_leases());
   const auto report = engine.run(distinct_jobs(6, 50.0));
   EXPECT_EQ(report.jobs_completed, 6u);
   EXPECT_EQ(report.jobs_lost, 0u);

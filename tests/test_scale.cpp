@@ -27,10 +27,10 @@
 #include "core/experiment.hpp"
 #include "msg/broker.hpp"
 #include "sched/bid_set.hpp"
-#include "sched/factory.hpp"
 #include "sched/fanout.hpp"
 #include "sched/live_workers.hpp"
 #include "sched/simple.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 #include "workload/arrivals.hpp"
@@ -297,7 +297,7 @@ TEST(ScaleCached, ConservesJobsWhenPlacedWorkersCrash) {
   config.faults =
       fault::FaultPlan::parse("crashes:p=0.5,window=60,down=20;drop:p=0.02;dup:p=0.01");
   auto fleet = testutil::uniform_fleet(12);
-  core::Engine engine(fleet, sched::make_scheduler("bidding:fanout=cached:4"), config);
+  core::Engine engine(fleet, sched::SchedulerSpec("bidding:fanout=cached:4").build(1), config);
   const auto report = engine.run(testutil::distinct_jobs(60, 200.0, 0.5));
   EXPECT_EQ(report.jobs_lost, 0u);
   EXPECT_GT(report.jobs_completed, 0u);
@@ -410,10 +410,9 @@ TEST(ScaleGolden, CachedExactScanFallbackIsBitIdentical) {
 // below the 64-repository pool), so every queue passes 100 jobs and the LRU
 // caches evict resources that queued jobs still need (counted at the
 // recording commit). The capacity stays above the largest resource
-// (1,024 MB): a cache holding one larger resource trips the cache.capacity
-// watchdog. No other golden queues more than a few jobs per worker, so these
-// are the cells where the backlog walk's membership answers decide bids and
-// placements.
+// (1,024 MB), so no cache ever holds a lone oversize clone. No other golden
+// queues more than a few jobs per worker, so these are the cells where the
+// backlog walk's membership answers decide bids and placements.
 
 std::vector<cluster::WorkerConfig> deep_queue_fleet() {
   std::vector<cluster::WorkerConfig> fleet = testutil::uniform_fleet(4);
@@ -447,7 +446,7 @@ void expect_deep_queue_golden(const std::string& scheduler, const DeepQueueGolde
   core::EngineConfig config;
   config.seed = 17;
   config.telemetry.interval = ticks_from_seconds(10.0);
-  core::Engine engine(deep_queue_fleet(), sched::make_scheduler(scheduler), config);
+  core::Engine engine(deep_queue_fleet(), sched::SchedulerSpec(scheduler).build(1), config);
   for (cluster::WorkerIndex w = 0; w < engine.worker_count(); ++w) {
     const cluster::WorkerNode* node = &engine.worker(w);
     engine.probes().add_gauge("test.queued." + std::to_string(w), 0, [node] {
@@ -792,7 +791,7 @@ TEST(LiveWorkers, MatchesAFreshWalkUnderRandomCrashesAndRecoveries) {
 
 TEST(LiveWorkers, SkipsMaskedSlotsAndRebuildsEveryReadWithoutAnEpoch) {
   core::Engine engine(testutil::uniform_fleet(4),
-                      sched::make_scheduler("round-robin"), testutil::noiseless());
+                      sched::SchedulerSpec("round-robin").build(1), testutil::noiseless());
   sched::SchedulerContext ctx;
   ctx.workers = {&engine.worker(0), nullptr, &engine.worker(2), &engine.worker(3)};
   sched::LiveWorkers live;
@@ -1077,53 +1076,65 @@ TEST(Scenario, ValidateFindsStructuralProblems) {
   EXPECT_EQ(issues[0].field, "lifecycle");
 }
 
-// --- factory registry -----------------------------------------------------
+// --- SchedulerSpec: config strings ---------------------------------------
 
 TEST(Factory, ParsesConfigStrings) {
-  EXPECT_EQ(sched::make_scheduler("bidding:fanout=probe:4")->name(), "bidding+probe:4");
-  EXPECT_EQ(sched::make_scheduler("bidding:learn=true")->name(), "bidding+learned");
-  EXPECT_EQ(sched::make_scheduler("bidding+learned:fanout=probe:2")->name(),
+  EXPECT_EQ(sched::SchedulerSpec("bidding:fanout=probe:4").build(1)->name(),
+            "bidding+probe:4");
+  EXPECT_EQ(sched::SchedulerSpec("bidding:learn=true").build(1)->name(), "bidding+learned");
+  EXPECT_EQ(sched::SchedulerSpec("bidding+learned:fanout=probe:2").build(1)->name(),
             "bidding+learned+probe:2");
-  EXPECT_EQ(sched::make_scheduler("baseline:declines=2,requeue_back=true")->name(), "baseline");
-  for (const std::string& name : sched::scheduler_names()) {
-    EXPECT_NE(sched::make_scheduler(name), nullptr);
+  EXPECT_EQ(sched::SchedulerSpec("baseline:declines=2,requeue_back=true").build(1)->name(),
+            "baseline");
+  for (const std::string& name : sched::SchedulerSpec::known_types()) {
+    EXPECT_NE(sched::SchedulerSpec(name).build(1), nullptr);
   }
 }
 
 TEST(Factory, UnknownKeysListTheValidOnes) {
   try {
-    (void)sched::make_scheduler("bidding:widnow=2");
+    (void)sched::SchedulerSpec("bidding:widnow=2").build(1);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("unknown key 'widnow'"), std::string::npos);
     EXPECT_NE(what.find("fanout, window, serialize, learn, alpha, slack"), std::string::npos);
   }
-  EXPECT_THROW((void)sched::make_scheduler("matchmaking:x=1"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("bidding:fanout=probe:0"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("bidding:fanout=cached:0"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("bidding:fanout=cached:abc"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("bidding:slack=fast"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("bidding:window"), std::invalid_argument);
-  EXPECT_THROW((void)sched::make_scheduler("nonesuch"), std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("matchmaking:x=1").build(1), std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("bidding:fanout=probe:0").build(1),
+               std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("bidding:fanout=cached:0").build(1),
+               std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("bidding:fanout=cached:abc").build(1),
+               std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("bidding:slack=fast").build(1),
+               std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("bidding:window").build(1), std::invalid_argument);
+  EXPECT_THROW((void)sched::SchedulerSpec("nonesuch").build(1), std::invalid_argument);
 }
 
 TEST(Factory, CheckSchedulerSpecReportsWithoutThrowing) {
-  EXPECT_EQ(sched::check_scheduler_spec("bidding:fanout=probe:4", 50), "");
-  EXPECT_NE(sched::check_scheduler_spec("bidding:fanout=probe:400", 50), "");
-  EXPECT_NE(sched::check_scheduler_spec("bidding:bogus=1", 5), "");
-  EXPECT_NE(sched::check_scheduler_spec("nonesuch", 5), "");
-  EXPECT_EQ(sched::check_scheduler_spec("bidding:fanout=cached:4", 50), "");
-  EXPECT_EQ(sched::check_scheduler_spec("bidding:fanout=cached:50", 50), "");
-  const std::string too_big = sched::check_scheduler_spec("bidding:fanout=cached:51", 50);
+  // validate() reports instead of throwing; the first issue's message, or ""
+  // when the spec is valid for the fleet.
+  const auto first_issue = [](const char* text, std::size_t workers) {
+    const std::vector<sched::SpecIssue> issues = sched::SchedulerSpec(text).validate(workers);
+    return issues.empty() ? std::string{} : issues.front().message;
+  };
+  EXPECT_EQ(first_issue("bidding:fanout=probe:4", 50), "");
+  EXPECT_NE(first_issue("bidding:fanout=probe:400", 50), "");
+  EXPECT_NE(first_issue("bidding:bogus=1", 5), "");
+  EXPECT_NE(first_issue("nonesuch", 5), "");
+  EXPECT_EQ(first_issue("bidding:fanout=cached:4", 50), "");
+  EXPECT_EQ(first_issue("bidding:fanout=cached:50", 50), "");
+  const std::string too_big = first_issue("bidding:fanout=cached:51", 50);
   EXPECT_NE(too_big.find("cached fan-out k=51"), std::string::npos);
   EXPECT_NE(too_big.find("exceeds the fleet"), std::string::npos);
   // Malformed cached specs report the full mode list without throwing.
-  const std::string bad_k = sched::check_scheduler_spec("bidding:fanout=cached:0", 50);
+  const std::string bad_k = first_issue("bidding:fanout=cached:0", 50);
   EXPECT_NE(bad_k.find("'full'"), std::string::npos);
   EXPECT_NE(bad_k.find("'probe:K'"), std::string::npos);
   EXPECT_NE(bad_k.find("'cached:K'"), std::string::npos);
-  EXPECT_NE(sched::check_scheduler_spec("bidding:fanout=cached:abc", 50), "");
+  EXPECT_NE(first_issue("bidding:fanout=cached:abc", 50), "");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // Pins the API redesign contract: config strings, JSON (string and object
 // forms), and the struct itself are three views of one value — every pair
 // of conversions round-trips exactly — and validation surfaces the same
-// error strings the legacy factory threw, now as structured issues.
+// error strings build() throws, as structured issues.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
 #include "sched/spec.hpp"
 #include "util/json.hpp"
 
@@ -160,13 +159,13 @@ TEST(SchedulerSpecValidate, BadStringsDeferTheErrorToValidateAndBuild) {
   const auto issues = malformed.validate();
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].message, malformed.parse_error());
-  EXPECT_THROW((void)malformed.build(), std::invalid_argument);
+  EXPECT_THROW((void)malformed.build(1), std::invalid_argument);
   // ...while an unknown type parses fine and fails at validate/build with
-  // the factory's listing.
+  // the listing of known types.
   const SchedulerSpec unknown = std::string("nonesuch");
   EXPECT_TRUE(unknown.parse_error().empty());
   EXPECT_FALSE(unknown.validate().empty());
-  EXPECT_THROW((void)unknown.build(), std::invalid_argument);
+  EXPECT_THROW((void)unknown.build(1), std::invalid_argument);
 }
 
 TEST(SchedulerSpecValidate, IssuesFoldIntoExperimentValidate) {
@@ -201,19 +200,19 @@ TEST(SchedulerSpecValidate, SchedCrashFaultsNeedFederation) {
 }
 
 // ---------------------------------------------------------------------------
-// build + options + legacy wrappers
+// build + options
 
 TEST(SchedulerSpecBuild, FederationGatesTheWrapper) {
-  EXPECT_EQ(SchedulerSpec::parse("bidding").build()->name(), "bidding");
+  EXPECT_EQ(SchedulerSpec::parse("bidding").build(1)->name(), "bidding");
   // partitions=1 with other federation fields set still builds the plain
   // policy: the inert-federation identity every golden relies on.
   EXPECT_EQ(SchedulerSpec::parse("bidding:fed.partitions=1,fed.spill_threshold=2")
-                .build()
+                .build(1)
                 ->name(),
             "bidding");
-  EXPECT_EQ(SchedulerSpec::parse("bidding:fed.partitions=2").build()->name(),
+  EXPECT_EQ(SchedulerSpec::parse("bidding:fed.partitions=2").build(1)->name(),
             "fed(bidding)x2");
-  EXPECT_EQ(SchedulerSpec::parse("baseline:fed.partitions=3").build()->name(),
+  EXPECT_EQ(SchedulerSpec::parse("baseline:fed.partitions=3").build(1)->name(),
             "fed(baseline)x3");
 }
 
@@ -223,13 +222,6 @@ TEST(SchedulerSpecOptions, LaterValuesWinAndSetReplaces) {
   spec.set_option("window", "3");
   EXPECT_EQ(spec.option("window"), "3");
   EXPECT_EQ(spec.option("absent"), "");
-}
-
-TEST(SchedulerSpecLegacy, StringWrappersStillWork) {
-  EXPECT_EQ(make_scheduler("bidding:fanout=probe:4")->name(), "bidding+probe:4");
-  EXPECT_EQ(check_scheduler_spec("bidding:fanout=probe:4", 50), "");
-  EXPECT_NE(check_scheduler_spec("nonesuch", 5), "");
-  EXPECT_FALSE(scheduler_names().empty());
 }
 
 // ---------------------------------------------------------------------------

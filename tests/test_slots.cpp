@@ -4,7 +4,7 @@
 
 #include "core/engine.hpp"
 #include "sched/baseline.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 
 namespace dlaja::cluster {
@@ -106,7 +106,8 @@ TEST_F(SlotTest, MultiSlotFleetFinishesFasterOnParallelWork) {
   const auto exec_with = [](std::uint32_t slots) {
     auto fleet = testutil::uniform_fleet(2, 1000.0, 50.0);  // processing-bound
     for (auto& w : fleet) w.slots = slots;
-    core::Engine engine(fleet, sched::make_scheduler("bidding"), testutil::noiseless());
+    core::Engine engine(fleet, sched::SchedulerSpec("bidding").build(1),
+                        testutil::noiseless());
     return engine.run(testutil::distinct_jobs(12, 200.0)).exec_time_s;
   };
   EXPECT_LT(exec_with(4), exec_with(1) * 0.5);

@@ -4,13 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 
 namespace dlaja {
 namespace {
 
 TEST(Smoke, EverySchedulerCompletesASmallWorkload) {
-  for (const std::string& name : sched::scheduler_names()) {
+  for (const std::string& name : sched::SchedulerSpec::known_types()) {
     core::ExperimentSpec spec;
     spec.scheduler = name;
     spec.iterations = 1;

@@ -5,7 +5,7 @@
 
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 
 namespace dlaja {
@@ -20,7 +20,7 @@ TEST(Stress, FiveThousandJobsOnTwentyFiveWorkers) {
   core::EngineConfig config;
   config.seed = 42;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual, 25),
-                      sched::make_scheduler("bidding"), config);
+                      sched::SchedulerSpec("bidding").build(1), config);
   const auto report = engine.run(workload.jobs);
   EXPECT_EQ(report.jobs_completed, 5000u);
   EXPECT_GT(report.cache_hit_rate, 0.0);
@@ -38,7 +38,7 @@ TEST(Stress, BaselineAtScaleStaysLive) {
   core::EngineConfig config;
   config.seed = 7;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow, 10),
-                      sched::make_scheduler("baseline"), config);
+                      sched::SchedulerSpec("baseline").build(1), config);
   const auto report = engine.run(workload.jobs);
   EXPECT_EQ(report.jobs_completed, 2000u);
 }
@@ -53,7 +53,7 @@ TEST(Stress, SharedBandwidthAtScale) {
   config.shared_bandwidth = true;
   config.origin_capacity_mbps = 150.0;
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kAllEqual, 10),
-                      sched::make_scheduler("bidding"), config);
+                      sched::SchedulerSpec("bidding").build(1), config);
   const auto report = engine.run(workload.jobs);
   EXPECT_EQ(report.jobs_completed, 600u);
   EXPECT_NEAR(report.data_load_mb,

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "core/engine.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "workload/swf.hpp"
 
@@ -172,7 +172,7 @@ TEST(Swf, ConvertedWorkloadRunsUnderBothSchedulers) {
   double exec[2];
   int idx = 0;
   for (const std::string scheduler : {"bidding", "baseline"}) {
-    core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler(scheduler),
+    core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec(scheduler).build(1),
                         testutil::noiseless());
     const auto report = engine.run(workload.jobs);
     EXPECT_EQ(report.jobs_completed, 60u) << scheduler;

@@ -14,11 +14,12 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "obs/telemetry.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "test_helpers.hpp"
 #include "util/json.hpp"
 
@@ -207,7 +208,7 @@ core::EngineConfig telemetry_config(std::uint64_t seed, double interval_s) {
 }
 
 TEST(TelemetryEngine, SamplesOnCanonicalGrid) {
-  core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
                       telemetry_config(42, 5.0));
   (void)engine.run(testutil::distinct_jobs(30, 150.0, 0.5));
   ASSERT_TRUE(engine.telemetry().has_value());
@@ -227,7 +228,7 @@ TEST(TelemetryEngine, SamplesOnCanonicalGrid) {
 }
 
 TEST(TelemetryEngine, OffByDefaultLeavesNoTable) {
-  core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec("bidding").build(1),
                       testutil::noiseless());
   (void)engine.run(testutil::distinct_jobs(10, 100.0, 0.5));
   EXPECT_FALSE(engine.telemetry().has_value());
@@ -241,7 +242,7 @@ metrics::RunReport run_jittered(std::uint64_t seed, double interval_s) {
   config.seed = seed;
   if (interval_s > 0.0) config.telemetry.interval = ticks_from_seconds(interval_s);
   core::Engine engine(cluster::make_fleet(cluster::FleetPreset::kFastSlow),
-                      sched::make_scheduler("bidding"), config);
+                      sched::SchedulerSpec("bidding").build(1), config);
   return engine.run(workload.jobs);
 }
 
@@ -268,7 +269,7 @@ TEST(TelemetryEngine, ReportBitIdenticalWithTelemetryOn) {
 TEST(TelemetryEngine, CadenceDeterminism) {
   // Same run twice -> byte-identical CSV.
   const auto render = [] {
-    core::Engine engine(testutil::uniform_fleet(4), sched::make_scheduler("bidding"),
+    core::Engine engine(testutil::uniform_fleet(4), sched::SchedulerSpec("bidding").build(1),
                         telemetry_config(7, 2.0));
     (void)engine.run(testutil::distinct_jobs(25, 180.0, 0.4));
     std::ostringstream out;
@@ -279,7 +280,7 @@ TEST(TelemetryEngine, CadenceDeterminism) {
 }
 
 TEST(TelemetryEngine, WatchdogTripsNamingTickAndProbe) {
-  core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"),
+  core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec("bidding").build(1),
                       telemetry_config(42, 5.0));
   // Tests may inject invariants through the public registry; this one fails
   // from the second sample onwards.
@@ -302,7 +303,8 @@ TEST(TelemetryEngine, WatchdogTripsNamingTickAndProbe) {
 TEST(TelemetryEngine, WatchdogOffIgnoresViolations) {
   core::EngineConfig config = telemetry_config(42, 5.0);
   config.telemetry.watchdog = false;
-  core::Engine engine(testutil::uniform_fleet(3), sched::make_scheduler("bidding"), config);
+  core::Engine engine(testutil::uniform_fleet(3), sched::SchedulerSpec("bidding").build(1),
+                      config);
   engine.probes().add_invariant("test.injected", 0, [] { return "broken"; });
   EXPECT_NO_THROW((void)engine.run(testutil::distinct_jobs(10, 100.0, 0.5)));
 }
@@ -313,7 +315,8 @@ TEST(TelemetryEngine, InvariantsCleanUnderCrashMidLease) {
   // the whole run.
   core::EngineConfig config = telemetry_config(99, 1.0);
   config.faults = fault::FaultPlan::parse("crash:w=1,at=10,down=25");
-  core::Engine engine(testutil::uniform_fleet(6), sched::make_scheduler("bidding"), config);
+  core::Engine engine(testutil::uniform_fleet(6), sched::SchedulerSpec("bidding").build(1),
+                      config);
   metrics::RunReport report;
   ASSERT_NO_THROW(report = engine.run(testutil::distinct_jobs(40, 150.0, 0.5)));
   EXPECT_GT(engine.worker_crashes(), 0u);
@@ -324,7 +327,7 @@ TEST(TelemetryEngine, InvariantsCleanUnderCrashMidLease) {
 
 TEST(TelemetryEngine, CachedFanoutExportsLoadErrorSeries) {
   core::Engine engine(testutil::uniform_fleet(4),
-                      sched::make_scheduler("bidding:fanout=cached:2"),
+                      sched::SchedulerSpec("bidding:fanout=cached:2").build(1),
                       telemetry_config(42, 5.0));
   (void)engine.run(testutil::distinct_jobs(30, 150.0, 0.5));
   const obs::TelemetryTable& table = *engine.telemetry();
@@ -387,6 +390,30 @@ TEST(TelemetrySpec, ValidateCatchesBadTelemetry) {
 
   spec.telemetry_capacity = 2;
   EXPECT_TRUE(spec.validate().empty());
+}
+
+TEST(TelemetrySpec, LoneOversizeCacheEntryKeepsTheWatchdogClean) {
+  // 300 MB LRU caches under all_diff_small resources of up to 1,024 MB: a
+  // cache may hold one clone larger than its capacity (ResourceCache keeps a
+  // lone most-recent entry), and the cache.capacity invariant must agree.
+  core::ExperimentSpec spec;
+  spec.job_config = workload::JobConfig::kAllDiffSmall;
+  spec.worker_count = 4;
+  std::vector<cluster::WorkerConfig> fleet =
+      cluster::make_fleet(cluster::FleetPreset::kAllEqual, spec.worker_count);
+  for (cluster::WorkerConfig& worker : fleet) {
+    worker.cache.policy = storage::EvictionPolicy::kLru;
+    worker.cache.capacity_mb = 300.0;
+  }
+  spec.custom_fleet = fleet;
+  spec.iterations = 1;
+  const auto off = core::run_experiment(spec);
+  spec.telemetry_interval_s = 10.0;
+  std::vector<metrics::RunReport> on;
+  ASSERT_NO_THROW(on = core::run_experiment(spec));
+  ASSERT_EQ(on.size(), 1u);
+  EXPECT_EQ(on[0].jobs_completed, 120u);
+  expect_same_report(off[0], on[0]);
 }
 
 TEST(TelemetrySpec, ExperimentReportsUnchangedByTelemetry) {

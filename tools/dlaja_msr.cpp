@@ -6,11 +6,12 @@
 
 #include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "metrics/timeline.hpp"
 #include "msr/msr.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/trace_io.hpp"
@@ -29,6 +30,17 @@ int main(int argc, char** argv) {
   args.add_option("flatten", "", "write the analyzer workload as a trace to this file");
   args.add_option("jobs-csv", "", "write the last run's per-job Gantt rows to this file");
   if (!args.parse(argc, argv)) return 1;
+
+  const auto workers = static_cast<std::size_t>(args.get_int("workers"));
+  const sched::SchedulerSpec scheduler(args.get("scheduler"));
+  const std::vector<sched::SpecIssue> issues = scheduler.validate(workers);
+  if (!issues.empty()) {
+    std::cerr << "invalid scheduler spec:\n";
+    for (const sched::SpecIssue& issue : issues) {
+      std::cerr << "  " << issue.field << ": " << issue.message << "\n";
+    }
+    return 1;
+  }
 
   msr::MsrConfig config;
   config.library_count = static_cast<std::size_t>(args.get_int("libraries"));
@@ -58,9 +70,8 @@ int main(int argc, char** argv) {
     engine_config.seed = static_cast<std::uint64_t>(args.get_int("seed") + r);
     engine_config.estimation = cluster::SpeedEstimator::Mode::kHistoric;
     engine_config.probe_speeds = true;
-    core::Engine engine(
-        msr::make_msr_fleet(static_cast<std::size_t>(args.get_int("workers"))),
-        sched::make_scheduler(args.get("scheduler")), engine_config);
+    core::Engine engine(msr::make_msr_fleet(workers), scheduler.build(engine_config.seed),
+                        engine_config);
     engine.set_workflow(run_pipeline.workflow);
     const auto report = engine.run(run_pipeline.seed_jobs);
     table.add_row({"run " + std::to_string(r + 1), fmt_fixed(report.exec_time_s, 2),

@@ -1,8 +1,8 @@
 // dlaja_run — general experiment runner.
 //
 // Runs (scheduler × workload × fleet) for N carried iterations and prints
-// the run reports; optionally dumps raw rows as CSV and per-run concurrency
-// timelines.
+// the run reports; optionally dumps raw rows as CSV, and the last
+// iteration's concurrency timeline, trace and telemetry.
 //
 //   dlaja_run --scheduler bidding --workload 80%_large --fleet fast-slow
 //   dlaja_run --scheduler baseline --jobs 240 --iters 5 --noise lognormal:0.5
@@ -17,6 +17,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
       "JSON when possible, else as strings");
   args.add_option("scheduler", "bidding",
                   "scheduler spec, e.g. bidding, bidding:fanout=probe:4, "
-                  "baseline:declines=2, bidding:fed.partitions=2,fed.spill=1.5 "
-                  "(see sched::scheduler_names())");
+                  "baseline:declines=2, bidding:fed.partitions=2,fed.spill_threshold=1.5 "
+                  "(grammar and names: sched::SchedulerSpec in src/sched/spec.hpp)");
   args.add_option("workload", "80%_large",
                   "job config: all_diff_equal|all_diff_large|all_diff_small|80%_large|80%_small");
   args.add_option("fleet", "all-equal", "fleet preset: all-equal|one-fast|one-slow|fast-slow");
@@ -62,18 +63,21 @@ int main(int argc, char** argv) {
                   "clauses, ';'-separated)");
   args.add_option("estimation", "nominal", "bid speeds: nominal | historic");
   args.add_option("csv", "", "write raw run rows to this file");
-  args.add_option("timeline", "", "write the last run's concurrency series to this file");
-  args.add_option("trace", "", "write a Chrome trace-event JSON of a detail run to this file");
-  args.add_option("trace-csv", "", "write the detail run's trace events as CSV to this file");
+  args.add_option("timeline", "",
+                  "write the last iteration's concurrency series to this file");
+  args.add_option("trace", "",
+                  "write a Chrome trace-event JSON of the last iteration to this file");
+  args.add_option("trace-csv", "",
+                  "write the last iteration's trace events as CSV to this file");
   args.add_option("log-level", "warn", "log verbosity: trace|debug|info|warn|error|off");
   args.add_option("telemetry-interval", "",
                   "sample in-run telemetry gauges every this many simulated seconds "
                   "(0 = off); also overrides a scenario's 'telemetry' interval");
   args.add_option("telemetry-csv", "",
-                  "write the detail run's telemetry series to this file (implies "
+                  "write the last iteration's telemetry series to this file (implies "
                   "telemetry at the default 30s cadence if no interval is given)");
   args.add_option("telemetry-json", "",
-                  "write the detail run's telemetry series as JSON to this file");
+                  "write the last iteration's telemetry series as JSON to this file");
   args.add_flag("no-carry", "do not carry caches across iterations");
   args.add_flag("flat-latency",
                 "zero all latency jitter (with --noise none, no per-message random "
@@ -220,9 +224,38 @@ int main(int argc, char** argv) {
   }
   if (!spec.faults.empty()) std::cout << "fault plan: " << spec.faults.describe() << "\n";
 
+  // The detail outputs describe the last iteration, the run whose report
+  // ends the table: the tracer rides that iteration's engine, and its
+  // concurrency series and telemetry are copied out once it ran.
+  const std::string timeline_path = args.get("timeline");
+  const std::string trace_path = args.get("trace");
+  const std::string trace_csv_path = args.get("trace-csv");
+  const std::string telemetry_csv_path = args.get("telemetry-csv");
+  const std::string telemetry_json_path = args.get("telemetry-json");
+  const int last_iteration = spec.iterations - 1;
+  obs::Tracer tracer;
+  tracer.set_enabled(!trace_path.empty() || !trace_csv_path.empty());
+  std::vector<metrics::ConcurrencyPoint> timeline;
+  std::optional<obs::TelemetryTable> telemetry;
+  core::IterationObserver observer;
+  observer.before = [&](int iteration, core::Engine& engine) {
+    if (iteration == last_iteration && tracer.enabled()) {
+      engine.simulator().set_tracer(&tracer);
+    }
+  };
+  observer.after = [&](int iteration, core::Engine& engine) {
+    if (iteration != last_iteration) return;
+    if (!timeline_path.empty()) {
+      const Tick horizon = engine.metrics().last_completion();
+      timeline = metrics::concurrency_series(engine.metrics(), engine.worker_count(), horizon,
+                                             horizon / 200 + 1);
+    }
+    telemetry = engine.telemetry();
+  };
+
   std::vector<metrics::RunReport> reports;
   try {
-    reports = core::run_experiment(spec);
+    reports = core::run_experiment(spec, observer);
   } catch (const std::runtime_error& error) {
     // The telemetry watchdog aborts the run by throwing; the series tail has
     // already been dumped to stderr by the engine.
@@ -300,130 +333,72 @@ int main(int argc, char** argv) {
     std::cout << "raw rows -> " << args.get("csv") << "\n";
   }
 
-  const std::string timeline_path = args.get("timeline");
-  const std::string trace_path = args.get("trace");
-  const std::string trace_csv_path = args.get("trace-csv");
-  const std::string telemetry_csv_path = args.get("telemetry-csv");
-  const std::string telemetry_json_path = args.get("telemetry-json");
-  const bool want_telemetry = spec.telemetry_interval_s > 0.0;
-  if (!timeline_path.empty() || !trace_path.empty() || !trace_csv_path.empty() ||
-      want_telemetry) {
-    // Re-run one iteration standalone to extract per-run detail (the
-    // experiment loop only keeps aggregate reports).
-    core::EngineConfig config;
-    config.seed = spec.seed;
-    config.noise = spec.noise;
-    config.estimation = spec.estimation;
-    config.probe_speeds = spec.probe_speeds;
-    config.faults = spec.faults;
-    config.lifecycle = spec.lifecycle;
-    config.coalesce_deliveries = spec.coalesce_deliveries;
-    if (want_telemetry) {
-      config.telemetry.interval = ticks_from_seconds(spec.telemetry_interval_s);
-      config.telemetry.capacity = spec.telemetry_capacity;
-      config.telemetry.watchdog = spec.telemetry_watchdog;
+  if (!timeline_path.empty()) {
+    std::ofstream out(timeline_path);
+    if (!out) {
+      std::cerr << "cannot open " << timeline_path << "\n";
+      return 1;
     }
-    const workload::WorkloadSpec wspec =
-        spec.custom_workload ? *spec.custom_workload : workload::make_workload_spec(spec.job_config);
-    workload::GeneratedWorkload workload;
-    if (!spec.open_arrivals) {
-      workload = workload::generate_workload(wspec, SeedSequencer(spec.seed));
+    metrics::write_concurrency_csv(out, timeline);
+    std::cout << "concurrency series -> " << timeline_path << "\n";
+  }
+  if (!trace_path.empty()) {
+    std::ofstream out(trace_path);
+    if (!out) {
+      std::cerr << "cannot open " << trace_path << "\n";
+      return 1;
     }
-    std::vector<cluster::WorkerConfig> fleet = cluster::make_fleet(spec.fleet, spec.worker_count);
-    if (spec.flat_control_plane) {
-      for (cluster::WorkerConfig& cfg : fleet) cfg.latency_jitter_ms = 0.0;
-      config.master_link.latency_jitter_ms = 0.0;
+    obs::write_chrome_trace(out, tracer);
+    std::cout << tracer.events().size() << " trace events -> " << trace_path << "\n";
+  }
+  if (!trace_csv_path.empty()) {
+    std::ofstream out(trace_csv_path);
+    if (!out) {
+      std::cerr << "cannot open " << trace_csv_path << "\n";
+      return 1;
     }
-    core::Engine engine(std::move(fleet), spec.scheduler.build(spec.seed), config);
-    obs::Tracer tracer;
-    if (!trace_path.empty() || !trace_csv_path.empty()) {
-      tracer.set_enabled(true);
-      engine.simulator().set_tracer(&tracer);
-    }
-    try {
-      if (spec.open_arrivals) {
-        const SeedSequencer workload_seeds(spec.seed);
-        workload::OpenArrivalStream stream(wspec, *spec.open_arrivals, workload_seeds);
-        (void)engine.run_stream([&stream] { return stream.next(); });
-      } else {
-        (void)engine.run(workload.jobs);
-      }
-    } catch (const std::runtime_error& error) {
-      std::cerr << error.what() << "\n";
-      return 2;
-    }
-
-    if (!timeline_path.empty()) {
-      std::ofstream out(timeline_path);
-      if (!out) {
-        std::cerr << "cannot open " << timeline_path << "\n";
-        return 1;
-      }
-      const Tick horizon = engine.metrics().last_completion();
-      metrics::write_concurrency_csv(
-          out, metrics::concurrency_series(engine.metrics(), engine.worker_count(), horizon,
-                                           horizon / 200 + 1));
-      std::cout << "concurrency series -> " << timeline_path << "\n";
-    }
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (!out) {
-        std::cerr << "cannot open " << trace_path << "\n";
-        return 1;
-      }
-      obs::write_chrome_trace(out, tracer);
-      std::cout << tracer.events().size() << " trace events -> " << trace_path << "\n";
-    }
-    if (!trace_csv_path.empty()) {
-      std::ofstream out(trace_csv_path);
-      if (!out) {
-        std::cerr << "cannot open " << trace_csv_path << "\n";
-        return 1;
-      }
-      obs::write_trace_csv(out, tracer);
-      std::cout << tracer.events().size() << " trace events -> " << trace_csv_path << "\n";
-    }
-    if (want_telemetry && engine.telemetry()) {
-      const obs::TelemetryTable& series = *engine.telemetry();
-      // The watchdog throws out of engine.run() on a violation, so reaching
-      // this line means every sampled invariant held.
-      std::cout << "telemetry: " << series.names.size() << " series x " << series.ticks.size()
-                << " samples, watchdog " << (config.telemetry.watchdog ? "clean" : "off")
-                << "\n";
-      if (spec.open_arrivals && !series.empty()) {
-        // Final sampled values of the streaming gauges: the steady-state
-        // sojourn tail and sustained throughput at the end of the horizon.
-        const auto last_of = [&](const std::string& name) {
-          for (std::size_t s = 0; s < series.names.size(); ++s) {
-            if (series.names[s] == name && !series.values[s].empty()) {
-              return series.values[s].back();
-            }
+    obs::write_trace_csv(out, tracer);
+    std::cout << tracer.events().size() << " trace events -> " << trace_csv_path << "\n";
+  }
+  if (telemetry) {
+    const obs::TelemetryTable& series = *telemetry;
+    // The watchdog throws out of the run on a violation, so reaching this
+    // line means every sampled invariant held.
+    std::cout << "telemetry: " << series.names.size() << " series x " << series.ticks.size()
+              << " samples, watchdog " << (spec.telemetry_watchdog ? "clean" : "off") << "\n";
+    if (spec.open_arrivals && !series.empty()) {
+      // Final sampled values of the streaming gauges: the steady-state
+      // sojourn tail and sustained throughput at the end of the horizon.
+      const auto last_of = [&](const std::string& name) {
+        for (std::size_t s = 0; s < series.names.size(); ++s) {
+          if (series.names[s] == name && !series.values[s].empty()) {
+            return series.values[s].back();
           }
-          return 0.0;
-        };
-        std::cout << "steady state @ end: " << fmt_fixed(last_of("master.throughput_jps"), 1)
-                  << " jobs/s, sojourn p50=" << fmt_fixed(last_of("job.sojourn_p50_s"), 3)
-                  << "s p99=" << fmt_fixed(last_of("job.sojourn_p99_s"), 3)
-                  << "s p999=" << fmt_fixed(last_of("job.sojourn_p999_s"), 3) << "s\n";
-      }
-      if (!telemetry_csv_path.empty()) {
-        std::ofstream out(telemetry_csv_path);
-        if (!out) {
-          std::cerr << "cannot open " << telemetry_csv_path << "\n";
-          return 1;
         }
-        obs::write_telemetry_csv(out, series);
-        std::cout << "telemetry series -> " << telemetry_csv_path << "\n";
+        return 0.0;
+      };
+      std::cout << "steady state @ end: " << fmt_fixed(last_of("master.throughput_jps"), 1)
+                << " jobs/s, sojourn p50=" << fmt_fixed(last_of("job.sojourn_p50_s"), 3)
+                << "s p99=" << fmt_fixed(last_of("job.sojourn_p99_s"), 3)
+                << "s p999=" << fmt_fixed(last_of("job.sojourn_p999_s"), 3) << "s\n";
+    }
+    if (!telemetry_csv_path.empty()) {
+      std::ofstream out(telemetry_csv_path);
+      if (!out) {
+        std::cerr << "cannot open " << telemetry_csv_path << "\n";
+        return 1;
       }
-      if (!telemetry_json_path.empty()) {
-        std::ofstream out(telemetry_json_path);
-        if (!out) {
-          std::cerr << "cannot open " << telemetry_json_path << "\n";
-          return 1;
-        }
-        obs::write_telemetry_json(out, series);
-        std::cout << "telemetry series -> " << telemetry_json_path << "\n";
+      obs::write_telemetry_csv(out, series);
+      std::cout << "telemetry series -> " << telemetry_csv_path << "\n";
+    }
+    if (!telemetry_json_path.empty()) {
+      std::ofstream out(telemetry_json_path);
+      if (!out) {
+        std::cerr << "cannot open " << telemetry_json_path << "\n";
+        return 1;
       }
+      obs::write_telemetry_json(out, series);
+      std::cout << "telemetry series -> " << telemetry_json_path << "\n";
     }
   }
   return 0;

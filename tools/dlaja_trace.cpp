@@ -16,13 +16,14 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 
 #include "core/engine.hpp"
 #include "obs/export.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
-#include "sched/factory.hpp"
+#include "sched/spec.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -112,15 +113,33 @@ int cmd_convert_swf(const ArgParser& args, const std::string& path) {
   return 0;
 }
 
-int cmd_replay(const ArgParser& args, const std::string& path) {
-  const auto workload = workload::load_trace_file(path);
+/// The engine `replay` and `profile` run a trace on: --workers workers of
+/// the --fleet preset under the --scheduler spec, engine and scheduler both
+/// seeded with --seed. Null, after printing the spec's issues the way
+/// dlaja_run does, when the spec is invalid for that fleet.
+std::unique_ptr<core::Engine> replay_engine(const ArgParser& args) {
+  const auto workers = static_cast<std::size_t>(args.get_int("workers"));
+  const sched::SchedulerSpec scheduler(args.get("scheduler"));
+  const std::vector<sched::SpecIssue> issues = scheduler.validate(workers);
+  if (!issues.empty()) {
+    std::cerr << "invalid scheduler spec:\n";
+    for (const sched::SpecIssue& issue : issues) {
+      std::cerr << "  " << issue.field << ": " << issue.message << "\n";
+    }
+    return nullptr;
+  }
   core::EngineConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  core::Engine engine(
-      cluster::make_fleet(cluster::fleet_preset_from_name(args.get("fleet")),
-                          static_cast<std::size_t>(args.get_int("workers"))),
-      sched::make_scheduler(args.get("scheduler")), config);
-  const auto report = engine.run(workload.jobs);
+  return std::make_unique<core::Engine>(
+      cluster::make_fleet(cluster::fleet_preset_from_name(args.get("fleet")), workers),
+      scheduler.build(config.seed), config);
+}
+
+int cmd_replay(const ArgParser& args, const std::string& path) {
+  const auto workload = workload::load_trace_file(path);
+  const std::unique_ptr<core::Engine> engine = replay_engine(args);
+  if (!engine) return 1;
+  const auto report = engine->run(workload.jobs);
   TextTable table("replay: " + path + " under " + args.get("scheduler"));
   table.add_row({"exec time (s)", fmt_fixed(report.exec_time_s, 1)});
   table.add_row({"cache misses", std::to_string(report.cache_misses)});
@@ -287,15 +306,11 @@ int cmd_profile(const ArgParser& args, const std::string& path) {
   } else {
     // Replay the workload trace with tracing enabled and profile the run.
     const auto workload = workload::load_trace_file(path);
-    core::EngineConfig config;
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    core::Engine engine(
-        cluster::make_fleet(cluster::fleet_preset_from_name(args.get("fleet")),
-                            static_cast<std::size_t>(args.get_int("workers"))),
-        sched::make_scheduler(args.get("scheduler")), config);
+    const std::unique_ptr<core::Engine> engine = replay_engine(args);
+    if (!engine) return 1;
     tracer.set_enabled(true);
-    engine.simulator().set_tracer(&tracer);
-    (void)engine.run(workload.jobs);
+    engine->simulator().set_tracer(&tracer);
+    (void)engine->run(workload.jobs);
     std::cout << "profiling " << tracer.events().size() << " events from a "
               << args.get("scheduler") << " replay of " << path << "\n";
   }
