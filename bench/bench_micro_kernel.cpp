@@ -38,6 +38,34 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleFire)->Arg(1 << 10)->Arg(1 << 14);
 
+// The queue shape of the paper's protocol at fleet scale (the
+// broadcast256_faults workload): about 1,000 far-future timers (arrivals,
+// crashes, leases) stand in the queue while bursts of 256 deliveries, 1-16 ms
+// ahead, are scheduled and fired. BM_EventQueueScheduleFire above only
+// drains a pre-filled queue.
+void BM_EventQueueBurstOverBacklog(benchmark::State& state) {
+  constexpr int kBacklog = 1000;
+  constexpr int kBurst = 256;
+  sim::Simulator sim;
+  Xoshiro256 rng(5);
+  // Far enough ahead that no burst reaches them: each iteration moves the
+  // clock by at most 16 ms.
+  const Tick far = ticks_from_seconds(1e6);
+  for (int i = 0; i < kBacklog; ++i) {
+    sim.schedule_at(far + static_cast<Tick>(rng() % static_cast<std::uint64_t>(far)), [] {});
+  }
+  const auto spread = static_cast<std::uint64_t>(ticks_from_millis(15.0));
+  for (auto _ : state) {
+    const Tick start = sim.now() + ticks_from_millis(1.0);
+    for (int i = 0; i < kBurst; ++i) {
+      sim.schedule_at(start + static_cast<Tick>(rng() % spread), [] {});
+    }
+    benchmark::DoNotOptimize(sim.run(kNeverTick, kBurst));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBurst);
+}
+BENCHMARK(BM_EventQueueBurstOverBacklog);
+
 void BM_EventCancellation(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;

@@ -36,10 +36,14 @@ python3 -m unittest discover -s perfbench/tests
 # because the federated wrapper hands each instance a masked view of the
 # shared fleet (raw WorkerNode pointers nulled outside the partition) and
 # re-routes in-flight jobs across instances on crash/adoption — pointer
-# lifetime paths only the sanitizers can vouch for. The asan preset bundles
-# address+undefined; the ubsan preset runs undefined alone (no shadow
-# memory), which changes layout enough to surface different misuses.
-SAN_TESTS=(test_simulator test_sim_alloc test_stress
+# lifetime paths only the sanitizers can vouch for. test_broker rides along
+# because message payloads are refcounted boxes carved from the kernel's
+# pool: ASan cannot see a use after free inside the pool, so the broker
+# tests pin box sharing and lifetime themselves and run here for the rest.
+# The asan preset bundles address+undefined; the ubsan preset runs undefined
+# alone (no shadow memory), which changes layout enough to surface different
+# misuses.
+SAN_TESTS=(test_simulator test_sim_alloc test_broker test_stress
            test_flow test_flow_properties test_flow_alloc test_obs test_fault
            test_scale test_telemetry test_sched_spec test_federation)
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"

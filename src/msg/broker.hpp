@@ -10,21 +10,23 @@
 // Built for fleet-scale fan-out: topics and mailboxes are interned to dense
 // ids, each topic keeps a pre-resolved subscriber slab (generation-tagged
 // slots, O(1) delivery resolution, no string hashing on the hot path), and a
-// broadcast shares one refcounted immutable payload across all receivers
-// instead of copying the `std::any` per subscriber. Optionally, same-tick
+// message's value is boxed once, in a pooled chunk, and shared by every
+// receiver instead of copied per subscriber. Optionally, same-tick
 // deliveries to one node coalesce into a single kernel event (off by
 // default: the per-message event schedule is part of the bit-reproducible
 // run signature).
 
 #include <any>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <type_traits>
 #include <typeinfo>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -33,51 +35,113 @@
 
 namespace dlaja::msg {
 
-/// A refcounted immutable message payload. One broadcast wraps its value
-/// exactly once; every receiver shares the same box (copying a Payload is a
-/// shared_ptr bump, not a value copy). The receiver knows the concrete type
-/// from the topic/mailbox contract and unwraps with `as<T>()`.
+/// A refcounted immutable message payload. One publish boxes its value
+/// exactly once, in a chunk of the kernel's thread-local size-class pool
+/// (sim::detail::pool_allocate), and every receiver shares that box: copying
+/// a Payload bumps a plain count (a run is one thread), not a value copy.
+/// The receiver knows the concrete type from the topic/mailbox contract and
+/// unwraps with `as<T>()`.
 class Payload {
  public:
   Payload() = default;
 
-  /// Implicit by design: `publish(topic, node, BidRequest{...})` keeps
-  /// working exactly like the old `std::any` parameter did.
+  /// Implicit by design: `publish(topic, node, BidRequest{...})` boxes the
+  /// value in place. A `std::any` is refused at compile time: boxed as is,
+  /// every `as<T>()` of it would throw at delivery.
   template <typename T,
             typename = std::enable_if_t<!std::is_same_v<std::remove_cvref_t<T>, Payload> &&
                                         !std::is_same_v<std::remove_cvref_t<T>, std::any>>>
   Payload(T&& value)  // NOLINT(google-explicit-constructor)
-      : box_(std::make_shared<const std::any>(std::in_place_type<std::remove_cvref_t<T>>,
-                                              std::forward<T>(value))) {}
+      : box_(Boxed<std::remove_cvref_t<T>>::make(std::forward<T>(value))) {}
 
-  /// Wraps an already-erased value (rare; tests mostly).
-  explicit Payload(std::any value)
-      : box_(std::make_shared<const std::any>(std::move(value))) {}
+  Payload(const Payload& other) noexcept : box_(other.box_) {
+    if (box_ != nullptr) ++box_->refs;
+  }
+  Payload(Payload&& other) noexcept : box_(std::exchange(other.box_, nullptr)) {}
+  Payload& operator=(const Payload& other) noexcept {
+    Box* const box = other.box_;
+    if (box != nullptr) ++box->refs;  // before drop(): self-assignment safe
+    drop();
+    box_ = box;
+    return *this;
+  }
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      drop();
+      box_ = std::exchange(other.box_, nullptr);
+    }
+    return *this;
+  }
+  ~Payload() { drop(); }
 
-  [[nodiscard]] bool has_value() const noexcept { return box_ && box_->has_value(); }
+  [[nodiscard]] bool has_value() const noexcept { return box_ != nullptr; }
 
   /// Runtime type of the stored value (typeid(void) when empty), for
   /// receivers that multiplex types over one mailbox.
   [[nodiscard]] const std::type_info& type() const noexcept {
-    return box_ ? box_->type() : typeid(void);
+    return box_ != nullptr ? *box_->type : typeid(void);
   }
 
   /// The stored value; throws std::bad_any_cast on a type mismatch or an
   /// empty payload.
   template <typename T>
   [[nodiscard]] const T& as() const {
-    if (!box_) throw std::bad_any_cast();
-    return std::any_cast<const T&>(*box_);
+    const T* value = try_as<T>();
+    if (value == nullptr) throw std::bad_any_cast();
+    return *value;
   }
 
   /// Pointer to the stored value, or nullptr on mismatch/empty.
   template <typename T>
   [[nodiscard]] const T* try_as() const noexcept {
-    return box_ ? std::any_cast<T>(box_.get()) : nullptr;
+    using V = std::remove_cv_t<T>;
+    if (box_ == nullptr || *box_->type != typeid(V)) return nullptr;
+    return &static_cast<const Boxed<V>*>(box_)->value;
   }
 
  private:
-  std::shared_ptr<const std::any> box_;
+  /// Header of every box: the share count, the stored type and the typed
+  /// destructor that also returns the chunk to the pool.
+  struct Box {
+    std::uint32_t refs;
+    const std::type_info* type;
+    void (*destroy)(Box*) noexcept;
+  };
+
+  template <typename T>
+  struct Boxed final : Box {
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "pool chunks are max_align_t aligned");
+
+    template <typename U>
+    explicit Boxed(U&& v) : Box{1, &typeid(T), &Boxed::destroy}, value(std::forward<U>(v)) {}
+
+    template <typename U>
+    [[nodiscard]] static Box* make(U&& v) {
+      void* chunk = sim::detail::pool_allocate(sizeof(Boxed));
+      try {
+        return ::new (chunk) Boxed(std::forward<U>(v));
+      } catch (...) {
+        sim::detail::pool_release(chunk, sizeof(Boxed));
+        throw;
+      }
+    }
+
+    static void destroy(Box* box) noexcept {
+      auto* self = static_cast<Boxed*>(box);
+      self->~Boxed();
+      sim::detail::pool_release(self, sizeof(Boxed));
+    }
+
+    T value;
+  };
+
+  void drop() noexcept {
+    if (box_ != nullptr && --box_->refs == 0) box_->destroy(box_);
+    box_ = nullptr;
+  }
+
+  Box* box_ = nullptr;
 };
 
 /// An in-flight message. All copies of one broadcast share the payload box.

@@ -95,7 +95,9 @@ bool extract_string(const std::string& line, const char* key, std::string& out) 
 }  // namespace
 
 void write_chrome_trace(std::ostream& out, const Tracer& tracer) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  out << "{\"displayTimeUnit\":\"ms\",";
+  if (tracer.dropped() > 0) out << "\"droppedEvents\":" << tracer.dropped() << ",";
+  out << "\"traceEvents\":[\n";
   // Process metadata: one "process" per component so Perfetto's track tree
   // groups sim/msg/net/sched/worker/core.
   bool first = true;
@@ -150,7 +152,14 @@ std::size_t read_chrome_trace(std::istream& in, Tracer& into) {
   std::string line;
   while (std::getline(in, line)) {
     std::string ph;
-    if (!extract_string(line, "\"ph\":\"", ph)) continue;
+    if (!extract_string(line, "\"ph\":\"", ph)) {
+      // The header line carries the exporter's drop count, if it had one.
+      std::int64_t dropped = 0;
+      if (extract_int(line, "\"droppedEvents\":", dropped) && dropped > 0) {
+        into.add_dropped(static_cast<std::uint64_t>(dropped));
+      }
+      continue;
+    }
     if (ph != "X" && ph != "i" && ph != "C") continue;  // metadata etc.
 
     TraceEvent event;

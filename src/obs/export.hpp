@@ -21,7 +21,9 @@ namespace dlaja::obs {
 
 /// Writes all recorded events as Chrome trace-event JSON. Components become
 /// processes (with name metadata), tracks become thread ids, spans "X"
-/// complete events, instants "i", counters "C".
+/// complete events, instants "i", counters "C". A tracer whose buffer
+/// overflowed also gets a top-level "droppedEvents" count; a complete trace
+/// carries no such key.
 void write_chrome_trace(std::ostream& out, const Tracer& tracer);
 
 /// Writes a flat CSV: type,component,name,track,ts_us,dur_us,value,arg.
@@ -29,7 +31,8 @@ void write_trace_csv(std::ostream& out, const Tracer& tracer);
 
 /// Reads a trace produced by write_chrome_trace() into `into` (appending;
 /// names are re-interned). Returns the number of events imported. Metadata
-/// events are skipped; unrecognised lines are ignored.
+/// events are skipped; unrecognised lines are ignored. A "droppedEvents"
+/// count adds to into.dropped().
 std::size_t read_chrome_trace(std::istream& in, Tracer& into);
 
 }  // namespace dlaja::obs

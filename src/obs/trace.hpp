@@ -139,6 +139,10 @@ class Tracer {
   /// Events rejected because the buffer was full.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
+  /// Counts `count` more dropped events: an imported trace carries the
+  /// drops of the tracer that recorded it.
+  void add_dropped(std::uint64_t count) noexcept { dropped_ += count; }
+
   /// Discards recorded events (the name table survives, so cached ids from
   /// a previous run stay valid).
   void clear() noexcept {

@@ -42,9 +42,9 @@ EventId Simulator::schedule_at(Tick at, Action action) {
   ++scheduled_;
 
   std::uint32_t slot;
-  if (free_head_ != kFreeEnd) {
+  if (free_head_ != kNone) {
     slot = free_head_;
-    free_head_ = pos_[slot];
+    free_head_ = nodes_[slot].next;
   } else {
     slot = static_cast<std::uint32_t>(actions_.size());
     if (actions_.size() == actions_.capacity()) {
@@ -53,15 +53,15 @@ EventId Simulator::schedule_at(Tick at, Action action) {
       reserve(actions_.empty() ? 64 : actions_.size() * 4);
     }
     actions_.emplace_back();
-    pos_.push_back(kFreeEnd);
-    gen_.push_back(0);
+    nodes_.emplace_back();
   }
   actions_[slot] = std::move(action);
-
-  if (heap_.size() < kRoot) heap_.resize(kRoot);  // padding before first event
-  heap_.push_back(HeapEntry{at, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
-  return EventId{encode(slot, gen_[slot])};
+  Node& node = nodes_[slot];
+  node.at = at;
+  node.seq = static_cast<std::uint32_t>(scheduled_);
+  link(slot, bucket_of(at));
+  ++pending_;
+  return EventId{encode(slot, node.gen)};
 }
 
 EventId Simulator::schedule_after(Tick delay, Action action) {
@@ -73,48 +73,130 @@ bool Simulator::cancel(EventId id) {
   if (!id.valid()) return false;
   const auto slot = static_cast<std::uint32_t>((id.value & 0xffffffffULL) - 1);
   const auto generation = static_cast<std::uint32_t>(id.value >> 32);
-  if (slot >= actions_.size()) return false;
+  if (slot >= nodes_.size()) return false;
   // Stale generation: the event fired or was cancelled (release() bumps the
   // tag before a slot can be reused, so a matching tag proves the event is
-  // still in the heap and pos_[slot] is a live heap index, not a free link).
-  if (gen_[slot] != generation) return false;
+  // still queued, on the list of bucket_of(at)).
+  if (nodes_[slot].gen != generation) return false;
   ++cancelled_;
   if (DLAJA_TRACE_ACTIVE(tracer_)) {
     tracer_->instant(obs::Component::kSim, trace_cancel_, 0, now_, slot);
   }
-  heap_remove(pos_[slot]);
+  unlink(slot, bucket_of(nodes_[slot].at));
+  --pending_;
   release(slot);
   return true;
 }
 
 void Simulator::reserve(std::size_t events) {
   actions_.reserve(events);
-  pos_.reserve(events);
-  gen_.reserve(events);
-  heap_.reserve(events + kRoot);
+  nodes_.reserve(events);
 }
 
-void Simulator::fire_root() {
-  const std::uint32_t slot = heap_[kRoot].slot;
-  assert(heap_[kRoot].at >= now_);
-  now_ = heap_[kRoot].at;
+void Simulator::link(std::uint32_t slot, std::size_t bucket) noexcept {
+  const std::size_t level = bucket / kBuckets;
+  const std::uint64_t bit = std::uint64_t{1} << (bucket % kBuckets);
+  Node& node = nodes_[slot];
+  if ((occupied_[level] & bit) == 0) {
+    occupied_[level] |= bit;
+    levels_ |= 1U << level;
+    head_[bucket] = slot;
+    node.next = slot;
+    node.prev = slot;
+    return;
+  }
+  const std::uint32_t head = head_[bucket];
+  const std::uint32_t tail = nodes_[head].prev;
+  nodes_[tail].next = slot;
+  node.prev = tail;
+  node.next = head;
+  nodes_[head].prev = slot;
+}
+
+void Simulator::unlink(std::uint32_t slot, std::size_t bucket) noexcept {
+  const Node& node = nodes_[slot];
+  if (node.next == slot) {  // the bucket's only event
+    const std::size_t level = bucket / kBuckets;
+    occupied_[level] &= ~(std::uint64_t{1} << (bucket % kBuckets));
+    if (occupied_[level] == 0) levels_ &= ~(1U << level);
+    return;
+  }
+  nodes_[node.prev].next = node.next;
+  nodes_[node.next].prev = node.prev;
+  if (head_[bucket] == slot) head_[bucket] = node.next;
+}
+
+std::uint32_t Simulator::front(Tick limit) noexcept {
+  for (;;) {
+    const auto level = static_cast<unsigned>(std::countr_zero(levels_));
+    const auto digit = static_cast<unsigned>(std::countr_zero(occupied_[level]));
+    const std::size_t bucket = level * kBuckets + digit;
+    // Bucket (level, digit) spans the ticks that agree with base_ above
+    // `level` and carry `digit` there; `low` is the first of them. Every
+    // lower level is empty, so no pending event precedes `low`.
+    const unsigned shift = level * kDigitBits;
+    // The span of one digit of the level above: 0 (no level above) at the top.
+    const std::uint64_t block = (std::uint64_t{1} << shift) << kDigitBits;
+    const auto low = static_cast<Tick>((static_cast<std::uint64_t>(base_) & ~(block - 1)) |
+                                       (std::uint64_t{digit} << shift));
+    if (low > limit) return kNone;
+    if (level == 0) return static_cast<std::uint32_t>(bucket);
+    // Refile the bucket against the first tick of its span. Lower levels
+    // are empty and the bucket is walked head to tail, so the relinked
+    // events keep their order: equal ticks stay in schedule order. Every
+    // other pending event agrees with the new base above its level just as
+    // with the old one, so its bucket does not change.
+    base_ = low;
+    occupied_[level] &= ~(std::uint64_t{1} << digit);
+    if (occupied_[level] == 0) levels_ &= ~(1U << level);
+    const std::uint32_t head = head_[bucket];
+    const std::uint32_t tail = nodes_[head].prev;
+    for (std::uint32_t slot = head;;) {
+      const std::uint32_t next = nodes_[slot].next;
+      link(slot, bucket_of(nodes_[slot].at));
+      ++moved_;
+      if (slot == tail) break;
+      slot = next;
+    }
+  }
+}
+
+Tick Simulator::next_event_at() const noexcept {
+  if (pending_ == 0) return kNeverTick;
+  const auto level = static_cast<unsigned>(std::countr_zero(levels_));
+  const auto digit = static_cast<unsigned>(std::countr_zero(occupied_[level]));
+  if (level == 0) return (base_ & ~static_cast<Tick>(kBuckets - 1)) | static_cast<Tick>(digit);
+  // A higher-level bucket is not sorted: walk it for its least tick.
+  const std::uint32_t head = head_[level * kBuckets + digit];
+  Tick least = nodes_[head].at;
+  for (std::uint32_t slot = nodes_[head].next; slot != head; slot = nodes_[slot].next) {
+    least = std::min(least, nodes_[slot].at);
+  }
+  return least;
+}
+
+void Simulator::fire(std::uint32_t bucket) {
+  const std::uint32_t slot = head_[bucket];
+  const Node& node = nodes_[slot];
+  assert(node.at >= now_);
+  now_ = node.at;
+  base_ = now_;
   last_fired_ = now_;
   ++fired_;
   if (DLAJA_TRACE_ACTIVE(tracer_)) [[unlikely]] {
     // A zero-duration span per dispatch (callbacks are instantaneous in
     // simulated time; the arg ties it back to the schedule-order sequence)
-    // plus a strided heap-occupancy sample — dense enough to see queue
-    // pressure, sparse enough not to dominate the trace.
-    tracer_->span(obs::Component::kSim, trace_dispatch_, 0, now_, now_,
-                  heap_[kRoot].seq);
+    // plus a strided queue-occupancy sample, taken while the firing event
+    // still counts as pending — dense enough to see queue pressure, sparse
+    // enough not to dominate the trace.
+    tracer_->span(obs::Component::kSim, trace_dispatch_, 0, now_, now_, node.seq);
     if ((fired_ & 15) == 0) {
       tracer_->counter(obs::Component::kSim, trace_pending_, 0, now_,
                        static_cast<double>(pending()));
     }
   }
-  // Overlap the action-slab cache miss with the heap pop below.
-  __builtin_prefetch(&actions_[slot]);
-  pop_root();
+  unlink(slot, bucket);
+  --pending_;
   // Detach and recycle the node *before* invoking: the action may schedule
   // (growing/reusing the slab) or try to cancel its own id — which must
   // fail, exactly as firing-then-cancelling always has.
@@ -124,132 +206,37 @@ void Simulator::fire_root() {
 }
 
 bool Simulator::step() {
-  if (stopped_ || heap_.size() <= kRoot) return false;
-  fire_root();
+  if (stopped_ || pending_ == 0) return false;
+  fire(front(kNeverTick));
   return true;
 }
 
 std::size_t Simulator::run(Tick until, std::size_t max_events) {
   std::size_t count = 0;
-  while (!stopped_ && count < max_events && heap_.size() > kRoot) {
-    if (heap_[kRoot].at > until) break;
-    fire_root();
+  bool drained = false;  // nothing left at or before `until`
+  while (!stopped_ && count < max_events) {
+    // front() may move base_ up to the event it returns, which then fires at
+    // once, so base_ never passes now().
+    const std::uint32_t bucket = pending_ == 0 ? kNone : front(until);
+    if (bucket == kNone) {
+      drained = true;
+      break;
+    }
+    fire(bucket);
     ++count;
   }
-  if (!stopped_ && until != kNeverTick && now_ < until) {
-    // Advance the clock to the horizon even if nothing fired there.
-    const bool has_live_event_before_until =
-        heap_.size() > kRoot && heap_[kRoot].at <= until;
-    if (!has_live_event_before_until) now_ = until;
+  if (!stopped_ && until != kNeverTick && now_ < until &&
+      (drained || next_event_at() > until)) {
+    now_ = until;  // advance the clock to the horizon even if nothing fired there
   }
   return count;
 }
 
-void Simulator::sift_up(std::size_t pos) noexcept {
-  const HeapEntry moving = heap_[pos];
-  while (pos > kRoot) {
-    const std::size_t parent = (pos >> 2) + 2;
-    if (!before(moving, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    pos_[heap_[pos].slot] = static_cast<std::uint32_t>(pos);
-    pos = parent;
-  }
-  heap_[pos] = moving;
-  pos_[moving.slot] = static_cast<std::uint32_t>(pos);
-}
-
-void Simulator::pop_root() noexcept { heap_remove(kRoot); }
-
-void Simulator::heap_remove(std::size_t pos) noexcept {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t size = heap_.size();
-  if (pos >= size) return;  // removed the tail entry itself
-  // Bottom-up removal: walk the hole down along the min-child path to a
-  // leaf, drop the displaced tail entry there, and let it rise. Cheaper
-  // than a classic sift-down because the tail entry almost always belongs
-  // near the leaves (skipping the per-level "fits here?" compare), and the
-  // climb back up runs along the just-touched (warm) path.
-  // Prefetching the next level only pays once the heap outgrows L1/L2;
-  // below that it is pure instruction overhead on the hot loop.
-  std::size_t hole = pos;
-  if (size <= 1024 + kRoot) {
-    // L1-resident heap: pairwise tournament over register copies, so no
-    // compare waits on a load whose address depends on an earlier pick —
-    // the latency chain per level is just compare+select.
-    for (;;) {
-      const std::size_t first_child = hole * 4 - 8;
-      if (first_child >= size) break;
-      std::size_t best;
-      HeapEntry best_entry;
-      if (first_child + 4 <= size) {
-        const HeapEntry e0 = heap_[first_child];
-        const HeapEntry e1 = heap_[first_child + 1];
-        const HeapEntry e2 = heap_[first_child + 2];
-        const HeapEntry e3 = heap_[first_child + 3];
-        const bool b01 = before(e1, e0);
-        const bool b23 = before(e3, e2);
-        const HeapEntry m0 = b01 ? e1 : e0;
-        const HeapEntry m1 = b23 ? e3 : e2;
-        const std::size_t i0 = first_child + (b01 ? 1 : 0);
-        const std::size_t i1 = first_child + 2 + (b23 ? 1 : 0);
-        const bool bm = before(m1, m0);
-        best_entry = bm ? m1 : m0;
-        best = bm ? i1 : i0;
-      } else {
-        best = first_child;
-        best_entry = heap_[best];
-        for (std::size_t child = first_child + 1; child < size; ++child) {
-          const HeapEntry entry = heap_[child];
-          if (before(entry, best_entry)) {
-            best = child;
-            best_entry = entry;
-          }
-        }
-      }
-      heap_[hole] = best_entry;
-      pos_[best_entry.slot] = static_cast<std::uint32_t>(hole);
-      hole = best;
-    }
-  } else {
-    // Larger heap: lower levels miss L1, so the branchy scan wins — the
-    // predictor speculates the next level's loads past the compares instead
-    // of serialising on them. Prefetching the grandchild line one level
-    // ahead only pays once the heap outgrows L2.
-    const bool deep = size > 4096;
-    for (;;) {
-      const std::size_t first_child = hole * 4 - 8;
-      if (first_child >= size) break;
-      if (deep) {
-        const std::size_t grand = first_child * 4 - 8;
-        if (grand + 16 <= size) {
-          __builtin_prefetch(&heap_[grand]);
-          __builtin_prefetch(&heap_[grand + 4]);
-          __builtin_prefetch(&heap_[grand + 8]);
-          __builtin_prefetch(&heap_[grand + 12]);
-        } else {
-          __builtin_prefetch(&heap_[std::min(grand, size - 1)]);
-        }
-      }
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, size);
-      for (std::size_t child = first_child + 1; child < last_child; ++child) {
-        if (before(heap_[child], heap_[best])) best = child;
-      }
-      heap_[hole] = heap_[best];
-      pos_[heap_[hole].slot] = static_cast<std::uint32_t>(hole);
-      hole = best;
-    }
-  }
-  heap_[hole] = last;
-  pos_[last.slot] = static_cast<std::uint32_t>(hole);
-  sift_up(hole);
-}
-
 void Simulator::release(std::uint32_t slot) noexcept {
   actions_[slot].reset();
-  ++gen_[slot];  // invalidates every outstanding EventId for this slot
-  pos_[slot] = free_head_;
+  Node& node = nodes_[slot];
+  ++node.gen;  // invalidates every outstanding EventId for this slot
+  node.next = free_head_;
   free_head_ = slot;
 }
 

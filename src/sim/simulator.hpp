@@ -3,18 +3,24 @@
 //
 // All components of the simulated cluster (network transfers, broker message
 // deliveries, job processing, bidding windows) are expressed as events on a
-// single queue ordered by (timestamp, insertion sequence). The sequence
-// tie-break makes runs bit-reproducible regardless of how many events share
-// a timestamp.
+// single queue ordered by timestamp; events that share a timestamp fire in
+// the order they were scheduled. That FIFO tie-break makes runs
+// bit-reproducible regardless of how many events share a timestamp.
 //
 // The event core is allocation-free in steady state: callbacks live in
 // fixed-size InlineAction storage (no std::function heap traffic), and event
-// nodes sit in a slab recycled through a free list. An intrusive 4-ary
-// min-heap indexed by node keeps cancel() at true O(log n) — no tombstones
-// linger in the queue and the fire path does no hash lookups. EventIds carry
-// a generation tag so a handle to a fired or cancelled event can never
-// accidentally cancel the slot's next tenant.
+// nodes sit in a slab recycled through a free list. The queue is a monotone
+// radix-bucket queue: an event is filed under the highest 6-bit digit in
+// which its tick differs from a reference tick (the last fired tick, or the
+// start of the bucket being refiled), one 64-bit occupancy mask per level
+// finds the earliest bucket, and each bucket is an intrusive FIFO list
+// threaded through the slab. Schedule and cancel are O(1) whatever the
+// number of pending events, and an event is relinked at most once per level
+// before it fires. EventIds carry a generation tag so a handle to a fired or
+// cancelled event can never accidentally cancel the slot's next tenant.
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -32,8 +38,8 @@ namespace dlaja::sim {
 
 namespace detail {
 
-/// Minimal allocator forcing 64-byte (cache-line) alignment, so the heap's
-/// 4-entry child groups each occupy exactly one line (see Simulator::kRoot).
+/// Minimal allocator forcing 64-byte (cache-line) alignment, so each 64-byte
+/// Action in the simulator's slab occupies exactly one line.
 template <typename T>
 struct CacheAlignedAllocator {
   using value_type = T;
@@ -100,23 +106,19 @@ class Simulator {
   /// Clears the stop flag so that run() may continue.
   void resume() noexcept { stopped_ = false; }
 
-  /// Pre-sizes the node slab and heap for `events` simultaneously pending
-  /// events, so traces with known event counts schedule without growth
-  /// reallocations.
+  /// Pre-sizes the node slab for `events` simultaneously pending events, so
+  /// traces with known event counts schedule without growth reallocations.
   void reserve(std::size_t events);
 
   /// Number of pending (non-cancelled) events. Cancelled events leave no
   /// trace, so this counts live events only.
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() <= kRoot ? 0 : heap_.size() - kRoot;
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
   /// Timestamp of the earliest pending event, or kNeverTick when the queue
   /// is empty. The engine's telemetry loop uses this to stop sampling once
-  /// nothing is left to fire.
-  [[nodiscard]] Tick next_event_at() const noexcept {
-    return heap_.size() <= kRoot ? kNeverTick : heap_[kRoot].at;
-  }
+  /// nothing is left to fire. O(1) when the earliest event sits in the
+  /// lowest level, else a walk of one bucket.
+  [[nodiscard]] Tick next_event_at() const noexcept;
 
   /// Total events fired since construction.
   [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
@@ -133,9 +135,18 @@ class Simulator {
   /// Total successful cancel() calls since construction.
   [[nodiscard]] std::uint64_t cancelled() const noexcept { return cancelled_; }
 
+  /// Total bucket relinks since construction: events moved to a lower level
+  /// when their bucket came due. The queue's work counter — each event moves
+  /// at most kLevels - 1 times, so relinks per fired event stay bounded by
+  /// the level count however many events are pending.
+  [[nodiscard]] std::uint64_t moved() const noexcept { return moved_; }
+
+  /// Radix levels: 11 six-bit digits cover every non-negative Tick.
+  static constexpr std::size_t kLevels = 11;
+
   /// Attaches (or detaches, with nullptr) a tracer. The simulator emits a
   /// zero-duration "dispatch" span per fired event, "cancel" instants, and
-  /// periodic "pending" heap-occupancy samples — and every component that
+  /// periodic "pending" queue-occupancy samples — and every component that
   /// holds a Simulator reaches the shared tracer through tracer(). The
   /// tracer must outlive the simulator (or be detached first); emission
   /// additionally requires tracer()->enabled().
@@ -150,53 +161,61 @@ class Simulator {
   [[nodiscard]] std::string log_prefix() const;
 
  private:
-  /// The root lives at physical index 3 (indices 0-2 are padding): children
-  /// of p are [4p-8, 4p-5] and its parent is (p>>2)+2, which lands every
-  /// 4-entry child group on one 64-byte-aligned cache line (entries are 16
-  /// bytes and the buffer is line-aligned), so a sift level never straddles
-  /// two lines.
-  static constexpr std::size_t kRoot = 3;
-  /// Terminator for the free list threaded through pos_.
-  static constexpr std::uint32_t kFreeEnd = UINT32_MAX;
+  static constexpr unsigned kDigitBits = 6;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;  // per level
+  /// "No slot": the free list's terminator and front()'s "nothing due".
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  /// Heap entries carry the full ordering key so that sift comparisons walk
-  /// contiguous memory and never chase into the node slab. 16 bytes — four
-  /// entries per cache line.
-  struct HeapEntry {
-    Tick at;
-    std::uint32_t seq;  // tie-break: FIFO among same-tick events (mod 2^32)
-    std::uint32_t slot;
+  /// Per-slot queue state. A pending slot sits on the circular FIFO list of
+  /// bucket_of(at): `prev` of the bucket's head is its tail. A free slot's
+  /// `next` is the free-list link.
+  struct Node {
+    Tick at = 0;
+    std::uint32_t next = kNone;
+    std::uint32_t prev = kNone;
+    std::uint32_t gen = 0;  ///< bumped on release; tags EventIds
+    std::uint32_t seq = 0;  ///< schedule order (mod 2^32): the trace's dispatch arg
   };
 
-  /// Strict (at, seq) order. The sequence tie-break compares modulo 2^32:
-  /// correct as long as same-tick events simultaneously in the heap span
-  /// fewer than 2^31 schedule calls, which vastly exceeds any feasible
-  /// pending-event count (slots are 32-bit and nodes are ~80 bytes).
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return static_cast<std::int32_t>(a.seq - b.seq) < 0;
+  /// The bucket (level * kBuckets + digit) that holds an event at `at`:
+  /// level is the highest digit in which `at` differs from base_ (0 when
+  /// equal), digit is that digit of `at`. A pure function of (at, base_),
+  /// which every pending event satisfies at all times.
+  [[nodiscard]] std::size_t bucket_of(Tick at) const noexcept {
+    const auto diff = static_cast<std::uint64_t>(at ^ base_);
+    const auto level = static_cast<unsigned>(std::bit_width(diff | 1U) - 1) / kDigitBits;
+    return level * kBuckets +
+           ((static_cast<std::uint64_t>(at) >> (level * kDigitBits)) & (kBuckets - 1));
   }
 
-  void sift_up(std::size_t pos) noexcept;
-  /// Detaches the heap entry at physical index `pos`, restoring the heap
-  /// property (bottom-up: walk the min-child hole to a leaf, drop the
-  /// displaced last entry there, sift it back up — cheaper than a full
-  /// sift-down because the last entry almost always belongs near the leaves).
-  void heap_remove(std::size_t pos) noexcept;
-  void pop_root() noexcept;
+  /// Appends `slot` to the tail of `bucket`.
+  void link(std::uint32_t slot, std::size_t bucket) noexcept;
+  /// Removes `slot` from `bucket` (any position).
+  void unlink(std::uint32_t slot, std::size_t bucket) noexcept;
+  /// Precondition: pending_ > 0. Returns the level-0 bucket whose head is
+  /// the earliest pending event, or kNone when every pending event lies past
+  /// `limit`. While the earliest bucket sits on a higher level and its span
+  /// starts at or before `limit`, refiles it against base_ = that start, so
+  /// base_ never passes a run(until) horizon that now() stops at.
+  std::uint32_t front(Tick limit) noexcept;
+  /// Fires the head of level-0 `bucket`.
+  void fire(std::uint32_t bucket);
   /// Returns `slot`'s node to the free list and invalidates outstanding ids.
   void release(std::uint32_t slot) noexcept;
-  /// Fires the root event (precondition: heap non-empty).
-  void fire_root();
 
   Tick now_ = 0;
   Tick last_fired_ = 0;
+  /// Reference tick of the radix levels: the last fired tick, or the start
+  /// of the last refiled bucket. Invariant: base_ <= now() and base_ <=
+  /// every pending tick; it only grows.
+  Tick base_ = 0;
   bool stopped_ = false;
-  std::uint32_t next_seq_ = 1;
-  std::uint32_t free_head_ = kFreeEnd;
+  std::uint32_t free_head_ = kNone;
+  std::size_t pending_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t moved_ = 0;
   // Tracing. The pointer is nullptr in untraced runs, so the only cost on
   // the fire path is one load + never-taken branch (and nothing at all when
   // DLAJA_TRACE_DISABLED compiles the blocks away).
@@ -204,17 +223,18 @@ class Simulator {
   std::uint16_t trace_dispatch_ = 0;  ///< interned "dispatch"
   std::uint16_t trace_cancel_ = 0;    ///< interned "cancel"
   std::uint16_t trace_pending_ = 0;   ///< interned "pending"
-  // Node slab as parallel arrays (index = slot in EventId): sift operations
-  // update pos_ at 4-byte stride instead of scattering writes across a
-  // wide node struct, and gen_ is only touched on release/cancel. A free
-  // slot's pos_ entry doubles as its free-list link — safe because cancel()
-  // validates the generation tag before ever reading pos_.
-  // The slab is line-aligned so each 64-byte Action occupies exactly one
-  // cache line instead of straddling two.
+  /// Bit L set iff level L holds an event.
+  std::uint32_t levels_ = 0;
+  /// Bit d of occupied_[L] set iff bucket (L, d) holds an event.
+  std::array<std::uint64_t, kLevels> occupied_{};
+  /// Head slot of each bucket. Meaningful only where occupied_ says the
+  /// bucket holds an event, so construction leaves it unfilled.
+  std::array<std::uint32_t, kLevels * kBuckets> head_;
+  // The slot slab: actions and queue state indexed by slot (the slot in an
+  // EventId). The action slab is line-aligned so each 64-byte Action
+  // occupies exactly one cache line instead of straddling two.
   std::vector<Action, detail::CacheAlignedAllocator<Action>> actions_;
-  std::vector<std::uint32_t> pos_;  // physical heap index / free-list link
-  std::vector<std::uint32_t> gen_;  // bumped on release; tags EventIds
-  std::vector<HeapEntry, detail::CacheAlignedAllocator<HeapEntry>> heap_;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace dlaja::sim

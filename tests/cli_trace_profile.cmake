@@ -7,8 +7,9 @@
 # and a workload replay), dlaja_trace info reports n/a instead of the
 # numeric scan sentinels on a trace without resource-bearing jobs,
 # dlaja_run's timeline and telemetry describe the last reported iteration,
-# and dlaja_trace replay seeds its scheduler with --seed and rejects a
-# scheduler spec its fleet cannot run.
+# dlaja_trace replay seeds its scheduler with --seed and rejects a
+# scheduler spec its fleet cannot run, and a trace whose buffer overflowed
+# says so at every surface.
 
 foreach(var DLAJA_RUN_BIN DLAJA_TRACE_BIN WORK_DIR SOURCE_DIR)
   if(NOT DEFINED ${var})
@@ -29,6 +30,7 @@ function(run_checked out_var)
     message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${stdout}\n${stderr}")
   endif()
   set(${out_var} "${stdout}" PARENT_SCOPE)
+  set(${out_var}_stderr "${stderr}" PARENT_SCOPE)
 endfunction()
 
 # Runs a command that must fail; its stderr goes to `err_var`.
@@ -176,5 +178,42 @@ run_failing(err "${DLAJA_TRACE_BIN}" replay "${workload_csv}"
 expect_contains("${err}"
   "scheduler: scheduler 'bidding:fanout=probe:10': probe fan-out k=10 exceeds the fleet (5 workers)"
   "replay with an oversized probe fan-out")
+
+# 8. A trace whose buffer overflowed says so. A 128-worker bidding run of
+# 1,400 jobs records about 1.1M events, past the tracer's fixed cap of 2^20
+# (the CSV export, about 40 bytes an event, is deleted at once): dlaja_run's
+# summary line counts the drops and stderr warns. Its JSON export gets a
+# top-level droppedEvents key, which a complete trace lacks (test_obs covers
+# the writer and reader); dlaja_trace info and profile print the drop note
+# for a short trace carrying that key.
+set(overflow_csv "${WORK_DIR}/overflow.trace.csv")
+run_checked(out "${DLAJA_RUN_BIN}" --scheduler bidding --workers 128 --jobs 1400 --iters 1
+            --trace-csv "${overflow_csv}")
+file(REMOVE "${overflow_csv}")
+if(NOT out MATCHES "1048576 trace events \\(([0-9]+) dropped: buffer full\\) -> ")
+  message(FATAL_ERROR "dlaja_run did not report the dropped trace events:\n${out}")
+endif()
+set(dropped "${CMAKE_MATCH_1}")
+expect_contains("${out_stderr}" "warning: the trace buffer filled up; ${dropped} later events"
+  "dlaja_run's stderr for an overflowed trace")
+string(FIND "${trace_text}" "droppedEvents" complete_pos)
+if(NOT complete_pos EQUAL -1)
+  message(FATAL_ERROR "a complete trace carries a droppedEvents key")
+endif()
+run_checked(info_out "${DLAJA_TRACE_BIN}" info "${trace_json}")
+expect_contains("${info_out}" "dropped events" "info on a complete trace")
+if(info_out MATCHES "were dropped")
+  message(FATAL_ERROR "info notes drops on a complete trace:\n${info_out}")
+endif()
+set(short_json "${WORK_DIR}/short.trace.json")
+string(REPLACE "{\"displayTimeUnit\":\"ms\","
+               "{\"displayTimeUnit\":\"ms\",\"droppedEvents\":${dropped},"
+               short_text "${trace_text}")
+file(WRITE "${short_json}" "${short_text}")
+set(note "note: ${dropped} events were dropped (buffer full)")
+run_checked(info_out "${DLAJA_TRACE_BIN}" info "${short_json}")
+expect_contains("${info_out}" "${note}" "info on an overflowed trace")
+run_checked(profile_out "${DLAJA_TRACE_BIN}" profile "${short_json}")
+expect_contains("${profile_out}" "${note}" "profile of an overflowed trace")
 
 message(STATUS "cli_trace_profile: all checks passed")

@@ -1,53 +1,17 @@
 // Allocation discipline of the flow network: once the slot slab, the node
 // table, and the scratch buffers are warm, the whole steady-state flow path
 // — start, advance, water-fill, completion flush, cancel, reschedule — must
-// not touch the general heap. Same counting-operator-new technique as
-// test_sim_alloc.cpp: the counter only increments, so any delta across a
-// steady-state round proves an allocation happened.
+// not touch the general heap, as counted by the global operator new that
+// counting_new.hpp replaces.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "net/flow.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t bytes, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = nullptr;
-  const std::size_t align = alignment < sizeof(void*) ? sizeof(void*) : alignment;
-  if (posix_memalign(&ptr, align, bytes == 0 ? 1 : bytes) != 0) {
-    throw std::bad_alloc();
-  }
-  return ptr;
-}
-
-}  // namespace
-
-void* operator new(std::size_t bytes) { return counted_alloc(bytes, alignof(std::max_align_t)); }
-void* operator new[](std::size_t bytes) { return counted_alloc(bytes, alignof(std::max_align_t)); }
-void* operator new(std::size_t bytes, std::align_val_t align) {
-  return counted_alloc(bytes, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t bytes, std::align_val_t align) {
-  return counted_alloc(bytes, static_cast<std::size_t>(align));
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
 
 namespace {
 
@@ -84,10 +48,10 @@ TEST(FlowAlloc, SteadyStateChurnIsAllocationFree) {
 
   round();  // warm: slab, node table, active list, scratch, event slabs
   round();
-  const std::size_t before = g_allocations.load();
+  const std::size_t before = counting_new::allocations.load();
   round();
   round();
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(counting_new::allocations.load(), before);
   EXPECT_EQ(flows.active_flows(), 0u);
   EXPECT_EQ(completed, static_cast<std::size_t>(4 * kFlows / 2));
 }
@@ -102,12 +66,12 @@ TEST(FlowAlloc, LookupsAreAllocationFree) {
   for (int i = 0; i < 32; ++i) {
     ids.push_back(flows.start_flow(static_cast<net::NodeId>(i % 4), 1000.0, nullptr));
   }
-  const std::size_t before = g_allocations.load();
+  const std::size_t before = counting_new::allocations.load();
   double checksum = 0.0;
   for (const auto id : ids) {
     checksum += flows.current_rate(id) + flows.remaining_mb(id);
   }
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(counting_new::allocations.load(), before);
   EXPECT_GT(checksum, 0.0);
 }
 

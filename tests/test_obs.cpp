@@ -135,6 +135,35 @@ TEST(ChromeTrace, ExportEmitsMetadataAndParsesBack) {
   EXPECT_DOUBLE_EQ(counter.value, 0.125);
 }
 
+TEST(ChromeTrace, OverflowedTraceCarriesItsDropCountThroughExportAndImport) {
+  Tracer full(/*capacity=*/1000);
+  Tracer overflowed(/*capacity=*/1000);
+  full.set_enabled(true);
+  overflowed.set_enabled(true);
+  for (int i = 0; i < 1000; ++i) full.instant(Component::kSim, 0, 0, i);
+  for (int i = 0; i < 1250; ++i) overflowed.instant(Component::kSim, 0, 0, i);
+  ASSERT_EQ(full.dropped(), 0u);
+  ASSERT_EQ(overflowed.dropped(), 250u);
+
+  // A trace that fit its buffer carries no key, so its bytes do not change.
+  std::ostringstream full_out;
+  write_chrome_trace(full_out, full);
+  EXPECT_EQ(full_out.str().find("droppedEvents"), std::string::npos);
+  Tracer full_imported;
+  std::istringstream full_in(full_out.str());
+  EXPECT_EQ(read_chrome_trace(full_in, full_imported), 1000u);
+  EXPECT_EQ(full_imported.dropped(), 0u);
+
+  std::ostringstream out;
+  write_chrome_trace(out, overflowed);
+  EXPECT_NE(out.str().find("{\"displayTimeUnit\":\"ms\",\"droppedEvents\":250,"),
+            std::string::npos);
+  Tracer imported;
+  std::istringstream in(out.str());
+  EXPECT_EQ(read_chrome_trace(in, imported), 1000u);
+  EXPECT_EQ(imported.dropped(), 250u);  // the exporter's drops, none on import
+}
+
 TEST(ChromeTrace, CsvExportListsAllEvents) {
   Tracer tracer;
   tracer.set_enabled(true);

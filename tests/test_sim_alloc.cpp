@@ -2,55 +2,25 @@
 // touch the general heap for inline-budget captures once the simulator's
 // slabs are warm, oversized captures must recycle pooled chunks, and the
 // generation-tagged ids must make stale handles inert across slot reuse.
-//
-// This TU replaces global operator new/delete with counting versions; the
-// counter only ever increments, so any delta across a steady-state round
-// proves an allocation happened on the path under test.
+// Allocations are counted by the global operator new that counting_new.hpp
+// replaces.
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "sim/simulator.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t bytes, std::size_t alignment) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = nullptr;
-  const std::size_t align = alignment < sizeof(void*) ? sizeof(void*) : alignment;
-  if (posix_memalign(&ptr, align, bytes == 0 ? 1 : bytes) != 0) {
-    throw std::bad_alloc();
-  }
-  return ptr;
-}
-
-}  // namespace
-
-void* operator new(std::size_t bytes) { return counted_alloc(bytes, alignof(std::max_align_t)); }
-void* operator new[](std::size_t bytes) { return counted_alloc(bytes, alignof(std::max_align_t)); }
-void* operator new(std::size_t bytes, std::align_val_t align) {
-  return counted_alloc(bytes, static_cast<std::size_t>(align));
-}
-void* operator new[](std::size_t bytes, std::align_val_t align) {
-  return counted_alloc(bytes, static_cast<std::size_t>(align));
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+#include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -73,10 +43,10 @@ TEST(SimAlloc, ScheduleFireInlineCapturesIsAllocationFree) {
   };
 
   round();  // warm: slabs sized, free list populated
-  const std::size_t before = g_allocations.load();
+  const std::size_t before = counting_new::allocations.load();
   round();
   round();
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(counting_new::allocations.load(), before);
   EXPECT_EQ(simulator.fired(), static_cast<std::uint64_t>(3 * kEvents));
 }
 
@@ -97,10 +67,10 @@ TEST(SimAlloc, ScheduleCancelIsAllocationFree) {
   };
 
   round();
-  const std::size_t before = g_allocations.load();
+  const std::size_t before = counting_new::allocations.load();
   round();
   round();
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(counting_new::allocations.load(), before);
   EXPECT_EQ(simulator.pending(), 0u);
 }
 
@@ -218,6 +188,255 @@ TEST(SimAlloc, PendingCountsLiveEventsOnly) {
   EXPECT_EQ(simulator.pending(), 2u);  // no tombstones linger
   simulator.run();
   EXPECT_EQ(simulator.pending(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference oracle: a naive kernel over std::set<(tick, seq)> with the
+// Simulator's contract (clamp to now, FIFO among equal ticks, run(until)
+// advancing the clock to the horizon), run in lockstep with the radix queue.
+
+class NaiveKernel {
+ public:
+  using Id = std::uint64_t;  // schedule sequence; 0 is never issued
+
+  [[nodiscard]] Tick now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] Tick next_event_at() const {
+    return queue_.empty() ? kNeverTick : queue_.begin()->first;
+  }
+
+  Id schedule_at(Tick at, std::function<void()> action) {
+    if (at < now_) at = now_;
+    const Id id = ++seq_;
+    queue_.emplace(at, id);
+    actions_.emplace(id, Entry{at, std::move(action)});
+    return id;
+  }
+
+  bool cancel(Id id) {
+    const auto it = actions_.find(id);
+    if (it == actions_.end()) return false;
+    queue_.erase({it->second.at, id});
+    actions_.erase(it);
+    return true;
+  }
+
+  bool step() {
+    if (queue_.empty()) return false;
+    fire();
+    return true;
+  }
+
+  std::size_t run(Tick until, std::size_t max_events) {
+    std::size_t count = 0;
+    while (count < max_events && !queue_.empty() && queue_.begin()->first <= until) {
+      fire();
+      ++count;
+    }
+    if (until != kNeverTick && now_ < until && next_event_at() > until) now_ = until;
+    return count;
+  }
+
+ private:
+  struct Entry {
+    Tick at;
+    std::function<void()> action;
+  };
+
+  void fire() {
+    const auto [at, id] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    std::function<void()> action = std::move(actions_.at(id).action);
+    actions_.erase(id);
+    now_ = at;
+    action();
+  }
+
+  Tick now_ = 0;
+  Id seq_ = 0;
+  std::set<std::pair<Tick, Id>> queue_;
+  std::map<Id, Entry> actions_;
+};
+
+/// Adapts a sim::Simulator to the oracle's interface.
+struct RadixKernel {
+  using Id = sim::EventId;
+  sim::Simulator sim;
+
+  [[nodiscard]] Tick now() const { return sim.now(); }
+  [[nodiscard]] std::size_t pending() const { return sim.pending(); }
+  [[nodiscard]] Tick next_event_at() const { return sim.next_event_at(); }
+  Id schedule_at(Tick at, sim::InlineAction action) {
+    return sim.schedule_at(at, std::move(action));
+  }
+  bool cancel(Id id) { return sim.cancel(id); }
+  bool step() { return sim.step(); }
+  std::size_t run(Tick until, std::size_t max_events) { return sim.run(until, max_events); }
+};
+
+/// One kernel plus the ids of every event it was ever asked to schedule and
+/// the log of what its actions did. Actions are pure functions of their
+/// label, so two kernels that agree fire the same actions with the same
+/// effects: some schedule a follow-up, some cancel another event.
+template <typename Kernel>
+struct Lockstep {
+  static constexpr std::uint64_t kFollowUp = 1ULL << 40;
+
+  Kernel kernel;
+  std::vector<typename Kernel::Id> ids;
+  std::vector<std::uint64_t> log;
+
+  void schedule(Tick at, std::uint64_t label) {
+    ids.push_back(kernel.schedule_at(at, [this, label] { on_fire(label); }));
+  }
+
+  void on_fire(std::uint64_t label) {
+    log.push_back(label);
+    if (label % 5 == 0 && label < kFollowUp) {
+      schedule(saturating_add(kernel.now(), static_cast<Tick>(label % 3)), label + kFollowUp);
+    }
+    if (label % 7 == 0 && !ids.empty()) {
+      log.push_back(kernel.cancel(ids[label % ids.size()]) ? 1 : 0);
+    }
+  }
+
+  static Tick saturating_add(Tick base, Tick delay) {
+    return base > kNeverTick - delay ? kNeverTick : base + delay;
+  }
+};
+
+/// A delay drawn from the classes the engine produces plus the extremes.
+Tick draw_delay(Xoshiro256& rng) {
+  switch (rng() % 8) {
+    case 0: return 0;
+    case 1: return static_cast<Tick>(1 + rng() % 3);  // under 4 ticks
+    case 2:
+    case 3:  // the control plane: 0.5-16 ms
+      return ticks_from_millis(0.5) + static_cast<Tick>(rng() % ticks_from_millis(15.5));
+    case 4:
+      return ticks_from_seconds(1.0) + static_cast<Tick>(rng() % ticks_from_seconds(60.0));
+    case 5: return static_cast<Tick>(rng() % (Tick{1} << 40));
+    case 6: return static_cast<Tick>(rng() % 64);
+    default: return kNeverTick;
+  }
+}
+
+TEST(KernelOracle, RadixQueueMatchesANaiveOrderedSetKernel) {
+  constexpr int kSeeds = 300;
+  constexpr int kOps = 2000;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+    Lockstep<RadixKernel> fast;
+    Lockstep<NaiveKernel> slow;
+    std::uint64_t label = 0;
+    const auto schedule_both = [&](Tick at) {
+      ++label;
+      fast.schedule(at, label);
+      slow.schedule(at, label);
+    };
+    for (int op = 0; op < kOps; ++op) {
+      const Tick now = slow.kernel.now();
+      // Until the final drain, nothing fires at kNeverTick: that would pin
+      // the clock there for the rest of the sequence.
+      const bool only_never = slow.kernel.next_event_at() == kNeverTick;
+      std::uint64_t kind = rng() % 16;
+      if (kind >= 9 && kind < 11 && only_never) kind = 0;
+      if (kind < 9) {
+        const Tick delay = draw_delay(rng);
+        schedule_both(delay == kNeverTick ? kNeverTick
+                                          : Lockstep<NaiveKernel>::saturating_add(now, delay));
+      } else if (kind < 11) {
+        ASSERT_EQ(fast.kernel.step(), slow.kernel.step());
+      } else if (kind < 14) {
+        // Pending, fired, cancelled and stale ids alike (slots are reused),
+        // plus the invalid id.
+        const std::size_t n = slow.ids.size();
+        if (n == 0 || rng() % 16 == 0) {
+          ASSERT_FALSE(fast.kernel.cancel(sim::EventId{}));
+        } else {
+          const std::size_t pick = rng() % n;
+          ASSERT_EQ(fast.kernel.cancel(fast.ids[pick]), slow.kernel.cancel(slow.ids[pick]));
+        }
+      } else {
+        // run(until), sometimes under an event budget, then schedules
+        // between the horizon and the next pending tick: the span a radix
+        // queue must not have moved its reference past.
+        // A horizon at or near kNeverTick would move the clock there, so
+        // only the final drain uses one.
+        Tick delay = draw_delay(rng);
+        if (delay == kNeverTick) delay = Tick{1} << 40;
+        const Tick until = Lockstep<NaiveKernel>::saturating_add(now, delay) - 1;
+        const std::size_t budget = rng() % 4 == 0 ? rng() % 5 : SIZE_MAX;
+        ASSERT_EQ(fast.kernel.run(until, budget), slow.kernel.run(until, budget));
+        const Tick from = slow.kernel.now();
+        const Tick next = slow.kernel.next_event_at();
+        if (from < next && rng() % 2 == 0) {
+          const auto span = static_cast<std::uint64_t>(next - from);
+          for (int k = 0; k < 3; ++k) {
+            schedule_both(from + static_cast<Tick>(rng() % span));
+          }
+        }
+      }
+      ASSERT_EQ(fast.log, slow.log) << "op " << op;
+      ASSERT_EQ(fast.kernel.now(), slow.kernel.now()) << "op " << op;
+      ASSERT_EQ(fast.kernel.pending(), slow.kernel.pending()) << "op " << op;
+      ASSERT_EQ(fast.kernel.next_event_at(), slow.kernel.next_event_at()) << "op " << op;
+    }
+    // Drain, which fires the kNeverTick events last and leaves the clock
+    // there; later schedules clamp to it and still fire in order.
+    ASSERT_EQ(fast.kernel.run(kNeverTick, SIZE_MAX), slow.kernel.run(kNeverTick, SIZE_MAX));
+    for (int k = 0; k < 8; ++k) schedule_both(static_cast<Tick>(rng() % 1000));
+    ASSERT_EQ(fast.kernel.cancel(fast.ids.back()), slow.kernel.cancel(slow.ids.back()));
+    ASSERT_EQ(fast.kernel.step(), slow.kernel.step());
+    ASSERT_EQ(fast.kernel.run(kNeverTick, SIZE_MAX), slow.kernel.run(kNeverTick, SIZE_MAX));
+    ASSERT_EQ(fast.log, slow.log);
+    ASSERT_EQ(fast.kernel.now(), kNeverTick);
+    ASSERT_EQ(slow.kernel.now(), kNeverTick);
+    ASSERT_EQ(fast.kernel.pending(), 0U);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Complexity guard: counts bucket relinks instead of timing. A standing
+// backlog of far-future events (crash, lease and arrival timers) must not
+// make the near-future events that fire pay more.
+
+double relinks_per_fire(std::size_t backlog) {
+  sim::Simulator simulator;
+  Xoshiro256 rng(17);
+  for (std::size_t i = 0; i < backlog; ++i) {
+    const auto ahead = static_cast<Tick>(rng() % (std::uint64_t{1} << 40));
+    simulator.schedule_at(ticks_from_seconds(3600.0) + ahead, [] {});
+  }
+  // 256 near-future events in flight, each rescheduling itself 0.5-16 ms
+  // ahead when it fires: the shape of a broadcast round.
+  struct Churn {
+    sim::Simulator* simulator;
+    Xoshiro256* rng;
+    void operator()() const {
+      const Tick delay = ticks_from_millis(0.5) +
+                         static_cast<Tick>((*rng)() % static_cast<std::uint64_t>(
+                                                          ticks_from_millis(15.5)));
+      simulator->schedule_after(delay, Churn{*this});
+    }
+  };
+  for (int i = 0; i < 256; ++i) simulator.schedule_after(i, Churn{&simulator, &rng});
+  const std::uint64_t moved = simulator.moved();
+  const std::uint64_t fired = simulator.fired();
+  simulator.run(kNeverTick, 200'000);
+  EXPECT_EQ(simulator.pending(), backlog + 256);
+  return static_cast<double>(simulator.moved() - moved) /
+         static_cast<double>(simulator.fired() - fired);
+}
+
+TEST(KernelComplexity, RelinksPerFireStayFlatUnderAStandingBacklog) {
+  const double small = relinks_per_fire(1'000);
+  const double large = relinks_per_fire(64'000);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LE(small, static_cast<double>(sim::Simulator::kLevels));
+  EXPECT_LE(large, static_cast<double>(sim::Simulator::kLevels));
+  EXPECT_LE(large, small * 1.01);
 }
 
 }  // namespace

@@ -32,6 +32,23 @@
 
 using namespace dlaja;
 
+namespace {
+
+/// Prints where a trace went and, when its buffer overflowed, how many
+/// events it lacks, with a warning on stderr: such a trace covers only the
+/// start of the iteration.
+void report_trace(const obs::Tracer& tracer, const std::string& path) {
+  std::cout << tracer.events().size() << " trace events";
+  if (tracer.dropped() > 0) std::cout << " (" << tracer.dropped() << " dropped: buffer full)";
+  std::cout << " -> " << path << std::endl;  // flushed: the warning follows it
+  if (tracer.dropped() > 0) {
+    std::cerr << "warning: the trace buffer filled up; " << tracer.dropped()
+              << " later events are missing from " << path << "\n";
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   ArgParser args("dlaja_run",
                  "run a locality-scheduling experiment and print the paper's metrics");
@@ -349,7 +366,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     obs::write_chrome_trace(out, tracer);
-    std::cout << tracer.events().size() << " trace events -> " << trace_path << "\n";
+    report_trace(tracer, trace_path);
   }
   if (!trace_csv_path.empty()) {
     std::ofstream out(trace_csv_path);
@@ -358,7 +375,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     obs::write_trace_csv(out, tracer);
-    std::cout << tracer.events().size() << " trace events -> " << trace_csv_path << "\n";
+    report_trace(tracer, trace_csv_path);
   }
   if (telemetry) {
     const obs::TelemetryTable& series = *telemetry;

@@ -2,6 +2,7 @@
 //
 //   dlaja_trace generate --workload 80%_large --jobs 200 --out trace.csv
 //   dlaja_trace info trace.csv
+//   dlaja_trace info run.trace.json
 //   dlaja_trace replay trace.csv --scheduler bidding --fleet fast-slow
 //   dlaja_trace profile trace.csv --scheduler bidding --top 10
 //   dlaja_trace profile run.trace.json
@@ -50,7 +51,48 @@ int cmd_generate(const ArgParser& args) {
   return 0;
 }
 
+[[nodiscard]] bool is_json(const std::string& path) {
+  return path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
+}
+
+/// Imports an exported Chrome trace (e.g. from `dlaja_run --trace`) into
+/// `tracer`; false when the file cannot be read. The exporter's tracer had
+/// the same default cap, so the import drops nothing and dropped() counts
+/// the exporter's drops.
+[[nodiscard]] bool import_trace(const std::string& path, obs::Tracer& tracer) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "cannot open " << path << "\n";
+    return false;
+  }
+  (void)obs::read_chrome_trace(in, tracer);
+  return true;
+}
+
+/// Summary of an exported Chrome trace: events, simulated span and the
+/// events its exporter dropped.
+int cmd_trace_info(const std::string& path) {
+  obs::Tracer tracer;
+  if (!import_trace(path, tracer)) return 1;
+  Tick first = kNeverTick, last = 0;
+  for (const obs::TraceEvent& event : tracer.events()) {
+    first = std::min(first, event.ts);
+    last = std::max(last, event.ts + event.dur);
+  }
+  TextTable table("trace: " + path);
+  table.add_row({"events", std::to_string(tracer.events().size())});
+  const Tick span = first < last ? last - first : 0;
+  table.add_row({"span (s)", fmt_fixed(seconds_from_ticks(span), 1)});
+  table.add_row({"dropped events", std::to_string(tracer.dropped())});
+  table.print(std::cout);
+  if (tracer.dropped() > 0) {
+    std::cout << "note: " << tracer.dropped() << " events were dropped (buffer full)\n";
+  }
+  return 0;
+}
+
 int cmd_info(const std::string& path) {
+  if (is_json(path)) return cmd_trace_info(path);
   const auto workload = workload::load_trace_file(path);
   std::map<storage::ResourceId, int> repetition;
   MegaBytes smallest = 0.0, largest = 0.0;
@@ -293,16 +335,10 @@ int cmd_profile(const ArgParser& args, const std::string& path) {
   const auto top = static_cast<std::size_t>(args.get_int("top"));
   obs::Tracer tracer;
 
-  const bool is_json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (is_json) {
+  if (is_json(path)) {
     // Profile an exported Chrome trace (e.g. from `dlaja_run --trace`).
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cannot open " << path << "\n";
-      return 1;
-    }
-    const std::size_t imported = obs::read_chrome_trace(in, tracer);
-    std::cout << "profiling " << imported << " events from " << path << "\n";
+    if (!import_trace(path, tracer)) return 1;
+    std::cout << "profiling " << tracer.events().size() << " events from " << path << "\n";
   } else {
     // Replay the workload trace with tracing enabled and profile the run.
     const auto workload = workload::load_trace_file(path);
