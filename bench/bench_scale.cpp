@@ -8,8 +8,7 @@
 // (Dodoor-style), making contest cost independent of fleet size.
 // `cached:4` skips the contest round-trip entirely: the master places each
 // job on the best of 4 cached candidates (late binding, one fallback
-// re-contest on a stale decline) — O(1) messages per job. All arms run
-// with delivery coalescing on (the scale configuration).
+// re-contest on a stale decline) — O(1) messages per job.
 //
 // Prints per-cell wall time, decision throughput (contests + direct
 // placements per wall second), messages per job, and placement quality
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
       spec.worker_count = fleets[fi];
       spec.iterations = 1;
       spec.seed = seed;
-      spec.coalesce_deliveries = true;
 
       const auto reports = core::run_experiment(spec);
       const metrics::RunReport& r = reports.front();

@@ -19,7 +19,7 @@ done
 # against the simulator's headers; the tier-1 build never compiles it, so an
 # API change that breaks it only shows here.
 cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
-cmake --build .bench_build --target perfbench_dlaja perfbench_tests
+cmake --build .bench_build --parallel "$(nproc)" --target perfbench_dlaja perfbench_tests
 .bench_build/perfbench_tests
 python3 -m unittest discover -s perfbench/tests
 
@@ -29,8 +29,8 @@ python3 -m unittest discover -s perfbench/tests
 # lifetime bugs the sanitizers exist to catch. test_fault rides along
 # because the lifecycle slab-parks retries and cancels in-flight lease
 # events, another lifetime-heavy path. test_scale covers the broker's
-# subscriber slab and in-flight message slab (generation-tagged slots,
-# handler re-entry, coalesced batches). test_telemetry rides along because
+# subscriber slab and in-flight message slab (handler re-entry that grows
+# them under the running handler). test_telemetry rides along because
 # samplers hold raw pointers into the probe registry and the watchdog path
 # dumps mid-run state. test_federation and test_sched_spec ride along
 # because the federated wrapper hands each instance a masked view of the
@@ -51,7 +51,7 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 for PRESET in asan ubsan; do
   echo "==== sanitizer pass ($PRESET)"
   cmake --preset "$PRESET"
-  cmake --build --preset "$PRESET" --target "${SAN_TESTS[@]}" dlaja_fuzz
+  cmake --build --preset "$PRESET" --parallel "$(nproc)" --target "${SAN_TESTS[@]}" dlaja_fuzz
   for t in "${SAN_TESTS[@]}"; do
     "build-$PRESET/tests/$t"
   done
@@ -70,7 +70,7 @@ TSAN_TESTS=(test_thread_pool test_experiment test_integration test_stress)
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 echo "==== sanitizer pass (tsan)"
 cmake --preset tsan
-cmake --build --preset tsan --target "${TSAN_TESTS[@]}"
+cmake --build --preset tsan --parallel "$(nproc)" --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
   "build-tsan/tests/$t"
 done

@@ -30,9 +30,6 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
   network_ = std::make_unique<net::NetworkModel>(seeds_, config_.noise);
   master_node_ = network_->register_node("master", config_.master_link);
   broker_ = std::make_unique<msg::Broker>(sim_, *network_);
-  // Opt-in: coalescing changes the kernel event counts (part of the run's
-  // stats signature), so only scale runs that ask for it get it.
-  broker_->set_coalescing(config_.coalesce_deliveries);
 
   workers_.reserve(fleet.size());
   worker_nodes_.reserve(fleet.size());
@@ -182,13 +179,6 @@ void Engine::fail_worker_at(WorkerIndex w, Tick at) {
   auto crash = [this, w] { apply_crash(w); };
   static_assert(sim::InlineAction::fits_inline<decltype(crash)>());
   sim_.schedule_at(at, std::move(crash));
-}
-
-void Engine::recover_worker_at(WorkerIndex w, Tick at) {
-  (void)worker(w);
-  auto recover = [this, w] { apply_recover(w); };
-  static_assert(sim::InlineAction::fits_inline<decltype(recover)>());
-  sim_.schedule_at(at, std::move(recover));
 }
 
 void Engine::apply_crash(WorkerIndex w) {
@@ -393,17 +383,14 @@ void Engine::register_probes() {
   });
 
   // Broker conservation: every copy put in flight was delivered, dropped,
-  // missed a retired subscription, or is still in flight.
+  // or is still in flight.
   probes_.add_invariant("broker.conservation", 0, [this]() -> std::string {
     const msg::BrokerStats& stats = broker_->stats();
     const std::uint64_t in_flight = broker_->in_flight();
-    if (stats.enqueued == stats.delivered + stats.dropped + stats.missed + in_flight) {
-      return {};
-    }
+    if (stats.enqueued == stats.delivered + stats.dropped + in_flight) return {};
     return "enqueued=" + std::to_string(stats.enqueued) +
            " != delivered=" + std::to_string(stats.delivered) +
            " + dropped=" + std::to_string(stats.dropped) +
-           " + missed=" + std::to_string(stats.missed) +
            " + in_flight=" + std::to_string(in_flight);
   });
 }
@@ -560,12 +547,6 @@ metrics::RunReport Engine::finish_run() {
   registry.counter("msg.sent").add(static_cast<double>(broker_stats.sent));
   registry.counter("msg.delivered").add(static_cast<double>(broker_stats.delivered));
   registry.counter("msg.dropped").add(static_cast<double>(broker_stats.dropped));
-  if (broker_->coalescing()) {
-    // Only coalescing runs grow these columns; default runs keep the exact
-    // historical CSV column set.
-    registry.counter("msg.batches").add(static_cast<double>(broker_stats.batches));
-    registry.counter("msg.batched").add(static_cast<double>(broker_stats.batched));
-  }
 
   // fault.* counters exist only when the fault machinery was on, so
   // fault-free CSVs keep their exact pre-fault column set.

@@ -67,10 +67,9 @@ struct EngineConfig {
   /// without a fault plan (e.g. with manual fail_worker_at schedules).
   LifecycleConfig lifecycle;
 
-  /// Same-tick delivery coalescing in the broker: consecutive deliveries to
-  /// one node on the same tick share a kernel event. Off by default — it
-  /// changes the run's kernel event counts (part of the CSV stats columns),
-  /// so only scale runs that opt in get it.
+  /// Kept only because perfbench (perfbench/cpp/harness.cpp) copies
+  /// ExperimentSpec::coalesce_deliveries into it. Ignored: every broker
+  /// delivery is its own kernel event.
   bool coalesce_deliveries = false;
 
   /// Safety horizon: the run aborts (with whatever completed) after this
@@ -114,11 +113,6 @@ class Engine {
 
   /// Schedules worker `w` to die at simulated time `at` (fault injection).
   void fail_worker_at(cluster::WorkerIndex w, Tick at);
-
-  /// Schedules worker `w` to come back at simulated time `at`: the node
-  /// rejoins the broker, re-probes its speeds (when the run probes speeds),
-  /// and the scheduler is told via on_worker_recovered().
-  void recover_worker_at(cluster::WorkerIndex w, Tick at);
 
   /// Executes the workload to quiescence (or the horizon) and returns the
   /// run report. `jobs` arrive at their `created_at` times. Callable once.

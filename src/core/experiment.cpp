@@ -61,7 +61,6 @@ std::vector<metrics::RunReport> run_experiment(const ExperimentSpec& spec,
     engine_config.probe_speeds = spec.probe_speeds;
     engine_config.faults = spec.faults;
     engine_config.lifecycle = spec.lifecycle;
-    engine_config.coalesce_deliveries = spec.coalesce_deliveries;
     engine_config.shards = spec.shards;
     if (spec.telemetry_interval_s > 0.0) {
       engine_config.telemetry.interval = ticks_from_seconds(spec.telemetry_interval_s);

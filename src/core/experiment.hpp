@@ -91,8 +91,9 @@ struct ExperimentSpec {
   fault::FaultPlan faults;
   LifecycleConfig lifecycle;
 
-  /// Same-tick delivery coalescing in the broker (scale runs only; changes
-  /// the kernel event counts in the CSV stats columns, so off by default).
+  /// Kept only because perfbench sets it (perfbench/cpp/workloads.cpp) and
+  /// copies it (perfbench/cpp/harness.cpp). Nothing reads it: validate()
+  /// accepts either value, and no scenario key sets it.
   bool coalesce_deliveries = false;
 
   /// Kept only because perfbench (perfbench/cpp/harness.cpp) reads it. A run

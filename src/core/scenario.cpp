@@ -14,8 +14,8 @@ namespace {
 
 constexpr const char* kValidKeys =
     "name, scheduler, workload, jobs, fleet, workers, iterations, carry_cache, "
-    "seed, noise, estimation, faults, lifecycle, coalesce_deliveries, "
-    "flat_control_plane, telemetry, arrivals";
+    "seed, noise, estimation, faults, lifecycle, flat_control_plane, telemetry, "
+    "arrivals";
 
 [[noreturn]] void key_error(const std::string& key, const std::string& what) {
   throw std::invalid_argument("scenario: key '" + key + "' " + what);
@@ -297,8 +297,6 @@ ExperimentSpec ExperimentSpec::from_json(const json::Value& doc) {
       spec.faults = fault::FaultPlan::parse(need_string(value, key));
     } else if (key == "lifecycle") {
       spec.lifecycle = parse_lifecycle(value);
-    } else if (key == "coalesce_deliveries") {
-      spec.coalesce_deliveries = need_bool(value, key);
     } else if (key == "flat_control_plane") {
       spec.flat_control_plane = need_bool(value, key);
     } else if (key == "telemetry") {
@@ -365,7 +363,6 @@ json::Value ExperimentSpec::to_json() const {
       obj["lifecycle"] = json::Value{std::move(lc)};
     }
   }
-  if (coalesce_deliveries) obj["coalesce_deliveries"] = true;
   if (flat_control_plane) obj["flat_control_plane"] = true;
   if (telemetry_interval_s > 0.0) {
     json::Object tel;

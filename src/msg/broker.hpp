@@ -8,13 +8,13 @@
 // latency between sender and receiver.
 //
 // Built for fleet-scale fan-out: topics and mailboxes are interned to dense
-// ids, each topic keeps a pre-resolved subscriber slab (generation-tagged
-// slots, O(1) delivery resolution, no string hashing on the hot path), and a
-// message's value is boxed once, in a pooled chunk, and shared by every
-// receiver instead of copied per subscriber. Optionally, same-tick
-// deliveries to one node coalesce into a single kernel event (off by
-// default: the per-message event schedule is part of the bit-reproducible
-// run signature).
+// ids, each topic keeps its subscribers in a slab in subscription order
+// (O(1) delivery resolution, no string hashing on the hot path) plus a
+// per-node index for multicast, and a message's value is boxed once, in a
+// pooled chunk, and shared by every receiver instead of copied per
+// subscriber. Every message takes one path: one in-flight slot, one kernel
+// event, one handler call. Subscriptions last as long as the broker; only a
+// node marked down stops receiving.
 
 #include <any>
 #include <cstddef>
@@ -155,12 +155,6 @@ struct Message {
 /// Handler invoked on delivery (at the receiver, in simulated time).
 using Handler = std::function<void(const Message&)>;
 
-/// Handle returned by subscribe(), usable to unsubscribe.
-struct SubscriptionId {
-  std::uint64_t value = 0;
-  [[nodiscard]] bool valid() const noexcept { return value != 0; }
-};
-
 /// Dense interned ids for topics and mailbox names. Resolve once at attach
 /// time; publish/send by id skips all string hashing.
 using TopicId = std::uint32_t;
@@ -174,17 +168,12 @@ struct BrokerStats {
   std::uint64_t enqueued = 0;         ///< message copies put in flight
   std::uint64_t delivered = 0;        ///< handler invocations
   std::uint64_t dropped = 0;          ///< sends to missing mailboxes / dead nodes
-  std::uint64_t missed = 0;           ///< deliveries to since-retired subscriptions
   std::uint64_t fault_dropped = 0;    ///< deliveries lost to the fault policy
   std::uint64_t fault_duplicated = 0; ///< extra copies created by the fault policy
-  std::uint64_t batches = 0;          ///< coalesced delivery events fired
-  std::uint64_t batched = 0;          ///< messages that rode a coalesced event
 
   /// Conservation invariant at quiescence: every copy put in flight was
-  /// either handled, dropped, or missed a retired subscription.
-  [[nodiscard]] bool conserved() const noexcept {
-    return enqueued == delivered + dropped + missed;
-  }
+  /// either handled or dropped.
+  [[nodiscard]] bool conserved() const noexcept { return enqueued == delivered + dropped; }
 };
 
 /// Fault-injection hook consulted once per delivery: returns how many copies
@@ -207,13 +196,9 @@ class Broker {
   MailboxId mailbox(const std::string& name);
 
   /// Subscribes `node` to `topic`; `handler` runs for every later publish.
-  SubscriptionId subscribe(TopicId topic, net::NodeId node, Handler handler);
-  SubscriptionId subscribe(const std::string& topic, net::NodeId node, Handler handler);
-
-  /// Removes a subscription. Returns false if unknown. Safe to call for
-  /// another subscription from inside a delivery handler (the slab slot is
-  /// retired in place; nothing shifts).
-  bool unsubscribe(SubscriptionId id);
+  /// Safe to call from inside a delivery handler.
+  void subscribe(TopicId topic, net::NodeId node, Handler handler);
+  void subscribe(const std::string& topic, net::NodeId node, Handler handler);
 
   /// Broadcasts `payload` on `topic`. Each current subscriber receives the
   /// shared payload after an independently sampled delay. Returns the number
@@ -231,9 +216,6 @@ class Broker {
   /// job queue). Overwrites any previous handler for (node, name).
   void register_mailbox(net::NodeId node, const std::string& name, Handler handler);
 
-  /// Removes a mailbox; later sends to it count as dropped.
-  void remove_mailbox(net::NodeId node, const std::string& name);
-
   /// Sends `payload` to mailbox `box`/`name` at `to`. Counts a drop if the
   /// mailbox does not exist *at delivery time*.
   void send(net::NodeId from, net::NodeId to, MailboxId box, Payload payload);
@@ -249,13 +231,6 @@ class Broker {
   /// build — the hook is never consulted.
   void set_fault_policy(FaultPolicy policy) { fault_policy_ = std::move(policy); }
 
-  /// Same-tick delivery coalescing: consecutive deliveries to one node that
-  /// land on the same tick share a single kernel event. Off by default —
-  /// turning it on changes the kernel event counts (and thus the stats
-  /// columns of a run's CSV), so it is reserved for scale runs that opt in.
-  void set_coalescing(bool on) noexcept { coalesce_ = on; }
-  [[nodiscard]] bool coalescing() const noexcept { return coalesce_; }
-
   [[nodiscard]] bool node_down(net::NodeId node) const;
 
   /// Delivery counters.
@@ -263,30 +238,22 @@ class Broker {
 
   /// Messages currently in flight (occupied slots in the delivery slab).
   /// Completes the mid-run conservation identity
-  ///   enqueued == delivered + dropped + missed + in_flight.
+  ///   enqueued == delivered + dropped + in_flight.
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return inflight_.size() - inflight_free_.size();
   }
 
  private:
-  /// One subscriber slot in a topic's slab. `gen` bumps on unsubscribe so
-  /// in-flight deliveries that captured {slot, gen} resolve to "gone".
   struct Subscriber {
-    std::uint64_t id = 0;
     net::NodeId node = net::kInvalidNode;
-    std::uint32_t gen = 0;
     Handler handler;
   };
 
   struct Topic {
     std::string name;
+    /// Subscribers in subscription order — the order publish fans out in.
     std::vector<Subscriber> slots;
-    std::vector<std::uint32_t> free_slots;
-    /// Live slots in subscription order — publish iterates this, keeping the
-    /// per-subscriber delay-sampling order identical to the historical
-    /// vector-of-subscriptions implementation.
-    std::vector<std::uint32_t> order;
-    /// node -> live slots on that node (multicast index for publish_to).
+    /// node -> the slots of its subscriptions (multicast index for publish_to).
     std::unordered_map<net::NodeId, std::vector<std::uint32_t>> by_node;
   };
 
@@ -302,35 +269,18 @@ class Broker {
     std::uint16_t trace_name = 0;  ///< interned topic/mailbox label (traced runs)
     std::uint32_t target = kInvalidInterned;  ///< TopicId or MailboxId
     std::uint32_t slot = 0;                   ///< subscriber slot (subscription route)
-    std::uint32_t gen = 0;                    ///< subscriber generation at send time
     Message message;
   };
 
-  /// A pending coalesced delivery event: every in-flight slot here lands on
-  /// `to` at tick `at` under one kernel event.
-  struct Batch {
-    net::NodeId to = net::kInvalidNode;
-    Tick at = 0;
-    bool armed = false;
-    std::vector<std::uint32_t> messages;
-  };
-
-  /// Applies the fault policy and schedules the copies. `trace_name` is only
-  /// nonzero when tracing is active.
+  /// Applies the fault policy, parks each copy in the in-flight slab and
+  /// schedules its delivery event. `trace_name` is only nonzero when tracing
+  /// is active.
   void deliver_later(net::NodeId from, net::NodeId to, std::uint16_t trace_name, Route route,
-                     std::uint32_t target, std::uint32_t slot, std::uint32_t gen,
-                     const Payload& payload);
-
-  /// Parks one copy in the in-flight slab and schedules (or batches) its
-  /// delivery event at absolute tick `at`.
-  void schedule_copy(InFlight flight, Tick at);
+                     std::uint32_t target, std::uint32_t slot, const Payload& payload);
 
   /// Delivers one parked message now (frees the slot first: the handler may
   /// send again, reusing the slot or growing the slab).
   void deliver_now(std::uint32_t slot);
-
-  /// Fires one coalesced batch: delivers every parked message in order.
-  void fire_batch(std::uint32_t batch);
 
   [[nodiscard]] std::uint16_t intern_trace_name(const std::string& label);
 
@@ -339,13 +289,6 @@ class Broker {
 
   std::vector<Topic> topics_;
   std::unordered_map<std::string, TopicId> topic_ids_;
-  /// subscription id -> (topic, slot, gen) for unsubscribe.
-  struct SubRef {
-    TopicId topic;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  std::unordered_map<std::uint64_t, SubRef> sub_index_;
 
   std::unordered_map<std::string, MailboxId> mailbox_ids_;
   std::vector<std::string> mailbox_names_;
@@ -354,20 +297,11 @@ class Broker {
 
   std::vector<std::uint8_t> down_;  // indexed by node
 
-  bool coalesce_ = false;
-  /// node -> most recently armed batch (or kInvalidInterned). Only the
-  /// latest batch per node accretes messages; an older same-tick batch that
-  /// was superseded just fires with what it has.
-  std::vector<std::uint32_t> node_batch_;
-
-  std::uint64_t next_subscription_ = 1;
   std::uint64_t next_message_ = 1;
   FaultPolicy fault_policy_;
   BrokerStats stats_;
   std::vector<InFlight> inflight_;            // slab of parked deliveries
   std::vector<std::uint32_t> inflight_free_;  // recycled slab slots
-  std::vector<Batch> batches_;
-  std::vector<std::uint32_t> batch_free_;
 };
 
 }  // namespace dlaja::msg

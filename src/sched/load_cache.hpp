@@ -1,9 +1,8 @@
 #pragma once
 // The master's per-worker load/locality cache (cached fan-out).
 //
-// One generation-tagged slot per worker — the same staleness discipline as
-// the broker's subscriber slab: state that can be invalidated bumps a
-// generation, and late information stamped with an older generation is
+// One generation-tagged slot per worker: state that can be invalidated bumps
+// a generation, and late information stamped with an older generation is
 // ignored instead of overwriting fresh state. Slots hold the most recently
 // observed backlog (seconds of queued work), optimistically charged on every
 // placement and authoritatively overwritten by placement responses, load

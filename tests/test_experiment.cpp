@@ -181,6 +181,31 @@ TEST(Experiment, MatrixMatchesSequentialCells) {
   }
 }
 
+// ExperimentSpec::coalesce_deliveries is kept only because perfbench sets it
+// (its fleet10k_probe4 workload): the broker has one delivery path, so the
+// flag validates clean and changes nothing a run reports.
+TEST(Experiment, CoalesceDeliveriesChangesNoReport) {
+  ExperimentSpec spec = small_spec("bidding:fanout=probe:4");
+  spec.worker_count = 40;
+  ExperimentSpec flagged = spec;
+  flagged.coalesce_deliveries = true;
+  EXPECT_TRUE(flagged.validate().empty());
+
+  const auto csv = [](std::vector<metrics::RunReport> runs) {
+    for (metrics::RunReport& r : runs) r.wall_time_s = 0.0;
+    std::ostringstream out;
+    metrics::write_reports_csv(out, runs);
+    return out.str();
+  };
+  const auto plain = run_experiment(spec);
+  const auto coalesced = run_experiment(flagged);
+  ASSERT_EQ(coalesced.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(coalesced[i].stats, plain[i].stats) << i;
+  }
+  EXPECT_EQ(csv(coalesced), csv(plain));
+}
+
 TEST(Experiment, SpecNameHelpers) {
   ExperimentSpec spec;
   spec.job_config = workload::JobConfig::k80Large;
