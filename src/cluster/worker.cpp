@@ -1,7 +1,6 @@
 #include "cluster/worker.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -63,75 +62,66 @@ double WorkerNode::estimate_processing_s(const workflow::Job& job) const {
          seconds_from_ticks(job.fixed_cost);
 }
 
-std::size_t WorkerNode::ResourceSet::home(storage::ResourceId id) const noexcept {
-  // Fibonacci hashing: the top log2(capacity) bits of id x 2^64/phi.
-  return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift_);
+WorkerNode::PriceKey WorkerNode::price_key() const noexcept {
+  return PriceKey{cache_.version(), std::max(net_est_.estimate(), 1e-9),
+                  std::max(rw_est_.estimate(), 1e-9)};
 }
 
-void WorkerNode::ResourceSet::grow() {
-  const std::vector<Slot> old =
-      std::exchange(slots_, std::vector<Slot>(std::max<std::size_t>(8, 2 * slots_.size())));
-  shift_ = 64 - std::countr_zero(slots_.size());
-  const std::size_t mask = slots_.size() - 1;
-  for (const Slot& entry : old) {
-    if (entry.stamp != stamp_) continue;
-    std::size_t at = home(entry.id);
-    while (slots_[at].stamp == stamp_) at = (at + 1) & mask;
-    slots_[at] = entry;
-  }
+void WorkerNode::price(const QueuedCost& job, const PriceKey& key) const {
+  // The divisions of estimate_transfer_s / estimate_processing_s with the
+  // speeds hoisted: the same operands, so the same bits.
+  job.transfer_s = job.first && !cache_.contains(job.resource)
+                       ? job.resource_size_mb / key.net_speed
+                       : 0.0;
+  job.work_s = job.process_mb / key.rw_speed + seconds_from_ticks(job.fixed_cost);
 }
 
-bool WorkerNode::ResourceSet::insert(storage::ResourceId id) {
-  if (slots_.empty()) grow();
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t at = home(id);; at = (at + 1) & mask) {
-    Slot& slot = slots_[at];
-    if (slot.stamp == stamp_) {
-      if (slot.id == id) return false;
-      continue;
-    }
-    slot = Slot{id, stamp_};
-    if (2 * ++size_ > slots_.size()) grow();
-    return true;
+void WorkerNode::price_one(const QueuedCost& job) {
+  const PriceKey key = price_key();
+  if (key == priced_) {
+    price(job, key);
+  } else {
+    priced_.cache_version = kStale;
   }
 }
 
 double WorkerNode::backlog_cost_s() const {
   double total = 0.0;
-  // Simulate the FIFO queue in order, tracking which resources will have
-  // become local by the time each queued job runs: the first queued job
-  // for an absent resource pays the transfer; later ones do not. At
-  // saturation a walk meets about 86 distinct resources over about 160
-  // queued jobs, and this query sits on both the bidding hot path and the
-  // telemetry gauges, so "assumed local" is a stamped hash set: O(1) to
-  // clear and per test, O(slots + queue) per walk.
-  assumed_local_.clear();
   for (const auto& slot : slots_) {
     if (slot == nullptr) continue;
     const Tick remaining = slot->est_finish - sim_.now();
     if (remaining > 0) total += seconds_from_ticks(remaining);
-    if (slot->job.needs_resource()) assumed_local_.insert(slot->job.resource);
   }
-  // Speeds are frozen for the duration of the walk (estimators only move on
-  // completions), so hoisting them out of the loop is value-identical to
-  // calling estimate_transfer_s / estimate_processing_s per job.
-  const double net_speed = std::max(net_est_.estimate(), 1e-9);
-  const double rw_speed = std::max(rw_est_.estimate(), 1e-9);
+  // Simulate the FIFO queue in order: the first queued job for an absent
+  // resource pays the transfer, later ones do not (the `first` flags). The
+  // terms are re-priced together, in O(queue), only when the cache's
+  // membership or a speed moved since they were priced; otherwise the walk
+  // is one dense fold with no lookups. Adding a +0.0 transfer leaves the
+  // total as it was, because the total is never -0.0, so the sum equals
+  // that of a walk adding only the transfers it charges, bit for bit.
+  const PriceKey key = price_key();
+  if (key != priced_) {
+    for (const QueuedCost& job : queue_costs_) price(job, key);
+    priced_ = key;
+    ++reprices_;
+  }
   for (const QueuedCost& job : queue_costs_) {
-    if (job.resource != 0 && assumed_local_.insert(job.resource) &&
-        !cache_.contains(job.resource)) {
-      total += job.resource_size_mb / net_speed;
-    }
-    total += job.process_mb / rw_speed + seconds_from_ticks(job.fixed_cost);
+    total += job.transfer_s;
+    total += job.work_s;
   }
+  fold_steps_ += queue_costs_.size();
   return total;
 }
 
 double WorkerNode::estimate_bid_s(const workflow::Job& job) const {
+  return estimate_bid_s(job, backlog_cost_s());
+}
+
+double WorkerNode::estimate_bid_s(const workflow::Job& job, double backlog_s) const {
   // Listing 2, lines 2-5. With parallel slots the backlog drains S-wide,
   // so the expected wait for a lane is the total divided by the slots.
   const double lanes = static_cast<double>(std::max<std::uint32_t>(1, config_.slots));
-  return backlog_cost_s() / lanes + estimate_transfer_s(job) + estimate_processing_s(job);
+  return backlog_s / lanes + estimate_transfer_s(job) + estimate_processing_s(job);
 }
 
 Tick WorkerNode::sample_bid_delay() {
@@ -149,10 +139,23 @@ void WorkerNode::enqueue(const workflow::Job& job) {
     return;
   }
   queue_.push_back(job);
-  queue_costs_.push_back(
-      QueuedCost{job.resource, job.resource_size_mb, job.process_mb, job.fixed_cost});
-  if (job.needs_resource()) ++pending_resources_[job.resource];
+  const bool first = job.needs_resource() && pending_resources_[job.resource]++ == 0;
+  price_one(queue_costs_.emplace_back(
+      QueuedCost{job.resource, job.resource_size_mb, job.process_mb, job.fixed_cost, first}));
   fill_slots();
+}
+
+double WorkerNode::enqueue_and_backlog(const workflow::Job& job, double backlog_before_s) {
+  const std::size_t queued = queue_costs_.size();
+  enqueue(job);
+  if (queue_costs_.size() != queued + 1) return backlog_cost_s();
+  // Nothing ahead of the job moved and the walk that produced
+  // backlog_before_s left every term priced, this one included, so a walk
+  // now would fold the same terms and then these two.
+  const QueuedCost& tail = queue_costs_.back();
+  backlog_before_s += tail.transfer_s;
+  backlog_before_s += tail.work_s;
+  return backlog_before_s;
 }
 
 void WorkerNode::probe_speeds(MegaBytes probe_mb) {
@@ -345,16 +348,34 @@ void WorkerNode::finish_slot(std::size_t slot_index, Tick duration,
     rw_est_.observe(job.process_mb / seconds_from_ticks(processing));
   }
 
-  if (job.needs_resource()) {
-    const auto it = pending_resources_.find(job.resource);
-    if (it != pending_resources_.end() && --it->second == 0) pending_resources_.erase(it);
-  }
   slots_[slot_index].reset();
+  if (job.needs_resource()) release(job.resource);
   if (on_complete) on_complete(job, index_);
   // on_complete may have enqueued more work or failed the worker.
   if (failed_) return;
   fill_slots();
   if (idle() && on_idle) on_idle(index_);
+}
+
+void WorkerNode::release(storage::ResourceId resource) {
+  const auto it = pending_resources_.find(resource);
+  if (it == pending_resources_.end()) return;
+  if (--it->second == 0) {
+    pending_resources_.erase(it);
+    return;
+  }
+  // Still pending. While another slot holds it no queued job downloads it;
+  // otherwise the earliest queued job on it now does. Moving the head into
+  // a slot never needs this: no later job on its resource was first.
+  for (const auto& slot : slots_) {
+    if (slot != nullptr && slot->job.resource == resource) return;
+  }
+  for (QueuedCost& job : queue_costs_) {
+    if (job.resource != resource) continue;
+    job.first = true;
+    price_one(job);
+    return;
+  }
 }
 
 }  // namespace dlaja::cluster

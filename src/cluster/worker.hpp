@@ -18,6 +18,7 @@
 // and the estimation queries, and observe it through the on_complete /
 // on_idle callbacks.
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -64,7 +65,9 @@ class WorkerNode {
 
   /// Estimated seconds to finish every unfinished job already allocated:
   /// the remaining estimate of the in-flight job plus the estimates of all
-  /// queued jobs (Listing 2 line 2, totalCostOfUnfinishedJobs).
+  /// queued jobs (Listing 2 line 2, totalCostOfUnfinishedJobs). O(slots +
+  /// queue) additions; the per-job terms are re-priced only when the cache's
+  /// membership or a speed estimate moved since the last walk.
   [[nodiscard]] double backlog_cost_s() const;
 
   /// Estimated seconds to obtain the job's resource: 0 when cached, else
@@ -77,6 +80,9 @@ class WorkerNode {
 
   /// The full bid: backlog + transfer + processing (Listing 2 lines 2-5).
   [[nodiscard]] double estimate_bid_s(const workflow::Job& job) const;
+  /// The same bid from a backlog_cost_s() the caller has already read in
+  /// this state, so a caller that also reports the backlog walks once.
+  [[nodiscard]] double estimate_bid_s(const workflow::Job& job, double backlog_s) const;
 
   /// Samples the delay before this worker's bid reaches the wire: the
   /// bidding thread's compute time, occasionally stretched by a straggle
@@ -89,6 +95,13 @@ class WorkerNode {
   /// Assignments to a failed worker are dropped (no fault tolerance — the
   /// paper explicitly leaves this open; see §5).
   void enqueue(const workflow::Job& job);
+
+  /// enqueue(job), then backlog_cost_s(). `backlog_before_s` must be the
+  /// backlog_cost_s() read in this very state (same tick, nothing changed
+  /// since). A job that queues behind busy slots is the walk's last step,
+  /// so its two terms continue that fold in O(1), bit for bit; a job that
+  /// starts at once (or is dropped by a failed worker) walks again.
+  [[nodiscard]] double enqueue_and_backlog(const workflow::Job& job, double backlog_before_s);
 
   /// Routes this worker's bulk downloads through a shared-bandwidth flow
   /// network instead of the independent-bandwidth model. Call before any
@@ -130,6 +143,13 @@ class WorkerNode {
   [[nodiscard]] SpeedEstimator& network_estimator() noexcept { return net_est_; }
   [[nodiscard]] SpeedEstimator& rw_estimator() noexcept { return rw_est_; }
 
+  /// The backlog's work counters since construction, kept out of the
+  /// metrics registry so no report moves: walks that re-priced every queued
+  /// job's terms, and queued jobs folded by walks (the O(1) continuation of
+  /// enqueue_and_backlog folds none).
+  [[nodiscard]] std::uint64_t backlog_reprices() const noexcept { return reprices_; }
+  [[nodiscard]] std::uint64_t backlog_fold_steps() const noexcept { return fold_steps_; }
+
   /// Invoked (if set) when a job finishes, before the next one starts.
   std::function<void(const workflow::Job&, WorkerIndex)> on_complete;
 
@@ -161,6 +181,10 @@ class WorkerNode {
                         MegaBytes transferred_mb, bool was_miss);
   void finish_slot(std::size_t slot, Tick duration, Tick transfer_ticks_taken,
                    MegaBytes transferred_mb, bool was_miss);
+  /// A finished job's resource left the slots: drops its pending count and,
+  /// when no slot holds it any more, makes the earliest queued job on it
+  /// the one that pays its transfer.
+  void release(storage::ResourceId resource);
 
   WorkerIndex index_;
   WorkerConfig config_;
@@ -175,55 +199,52 @@ class WorkerNode {
   RandomStream bid_rng_;   ///< bid-delay / straggle draws
 
   std::deque<workflow::Job> queue_;
-  /// The four Job fields backlog_cost_s reads, mirrored densely and kept in
-  /// lockstep with queue_: the estimate walks ~32 bytes per queued job
-  /// instead of dragging each Job's correlation-key string through the
-  /// cache (the walk sits on the bidding and telemetry hot paths).
+  /// What backlog_cost_s needs of each queued job, kept in lockstep with
+  /// queue_: the Job fields it prices from, and the job's two terms of the
+  /// walk, so a walk is a dense left fold over ~56 bytes per job (the walk
+  /// sits on the bidding and telemetry hot paths).
   struct QueuedCost {
     storage::ResourceId resource = 0;
     MegaBytes resource_size_mb = 0.0;
     MegaBytes process_mb = 0.0;
     Tick fixed_cost = 0;
+    /// No running slot and no earlier queued job holds `resource`, so this
+    /// job downloads it unless it is cached. Set at enqueue; it changes
+    /// only in release().
+    bool first = false;
+    /// size / net speed when first and not cached, else 0.0.
+    mutable double transfer_s = 0.0;
+    /// process / rw speed + fixed cost.
+    mutable double work_s = 0.0;
   };
   std::deque<QueuedCost> queue_costs_;
+  /// The state the terms depend on besides the queue: the cache's
+  /// membership version and both speeds as the walk divides by them.
+  struct PriceKey {
+    std::uint64_t cache_version = 0;
+    double net_speed = 0.0;
+    double rw_speed = 0.0;
+    friend bool operator==(const PriceKey&, const PriceKey&) = default;
+  };
+  [[nodiscard]] PriceKey price_key() const noexcept;
+  /// Sets one job's terms from the state `key` describes.
+  void price(const QueuedCost& job, const PriceKey& key) const;
+  /// Prices one new or newly-first job if every other term is current; if
+  /// not, marks them all stale, so a walk re-prices even should the state
+  /// return to the one they were priced in.
+  void price_one(const QueuedCost& job);
+  /// The key every queued job's terms were priced under; kStale forces the
+  /// next walk to re-price (the cache's version never reaches it).
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};
+  mutable PriceKey priced_{kStale, 0.0, 0.0};
+  mutable std::uint64_t reprices_ = 0;
+  mutable std::uint64_t fold_steps_ = 0;
   /// Execution lanes; null = free. Size == config().slots.
   std::vector<std::unique_ptr<ExecSlot>> slots_;
   /// Resources of unfinished (in-flight + queued) jobs, with multiplicity.
   std::unordered_map<storage::ResourceId, std::uint32_t> pending_resources_;
   net::FlowNetwork* flows_ = nullptr;
   bool failed_ = false;
-
-  /// backlog_cost_s's "assumed local" set: open addressing over {id, stamp}
-  /// slots, found by Fibonacci hashing and linear probing. A slot holds an
-  /// entry only while its stamp is the current one, so clear() empties the
-  /// set in O(1) by bumping the stamp. The capacity is a power of two and
-  /// doubles when the set is half full; it is allocated on the first insert
-  /// and kept, so a worker whose walks never meet a resource allocates
-  /// nothing and a busy one allocates nothing in steady state.
-  class ResourceSet {
-   public:
-    void clear() noexcept {
-      ++stamp_;
-      size_ = 0;
-    }
-    /// Adds `id`; false if it was already in the set.
-    bool insert(storage::ResourceId id);
-    [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
-
-   private:
-    struct Slot {
-      storage::ResourceId id = 0;
-      std::uint64_t stamp = 0;
-    };
-    [[nodiscard]] std::size_t home(storage::ResourceId id) const noexcept;
-    void grow();
-
-    std::vector<Slot> slots_;
-    std::uint64_t stamp_ = 1;  ///< fresh slots carry 0, so they start empty
-    std::size_t size_ = 0;
-    int shift_ = 64;           ///< 64 - log2(capacity)
-  };
-  mutable ResourceSet assumed_local_;
 
   /// Interns the worker's span names on first traced use.
   void ensure_trace_names();

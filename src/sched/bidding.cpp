@@ -275,9 +275,9 @@ void BiddingScheduler::worker_handle_placement(WorkerIndex w, const DirectPlacem
   const double backlog_before_s = worker->backlog_cost_s();
   const bool accept =
       backlog_before_s <= p.expected_backlog_s + config_.decline_slack_s;
-  if (accept) worker->enqueue(p.job);
-  const PlacementResponse resp{p.job.id, w, accept,
-                               accept ? worker->backlog_cost_s() : backlog_before_s};
+  const PlacementResponse resp{
+      p.job.id, w, accept,
+      accept ? worker->enqueue_and_backlog(p.job, backlog_before_s) : backlog_before_s};
 
   // Same reply shape as a bid: compute delay at the worker, then cross back
   // through the broker.
@@ -396,17 +396,18 @@ void BiddingScheduler::worker_handle_bid_request(WorkerIndex w, const BidRequest
   if (worker == nullptr || worker->failed()) return;
 
   // Listing 2, sendBid: backlog + transfer estimate + processing estimate.
-  double cost_s = worker->estimate_bid_s(request.job);
-  if (config_.learn_correction) cost_s *= correction_[w];
+  // Cached fan-out also piggy-backs the raw backlog from the same walk, so
+  // even fallback contests refresh the master's load cache for free.
+  const double backlog_s = worker->backlog_cost_s();
+  BidSubmission bid{request.contest, request.job.id, w,
+                    worker->estimate_bid_s(request.job, backlog_s)};
+  if (config_.learn_correction) bid.cost_s *= correction_[w];
+  if (config_.fanout.cached()) bid.backlog_s = backlog_s;
 
   // The bidding thread needs time to compute the estimate and may straggle;
   // the reply then crosses the network back to the master through the
   // broker.
   const Tick delay = worker->sample_bid_delay();
-  BidSubmission bid{request.contest, request.job.id, w, cost_s};
-  // Cached fan-out: piggy-back the raw backlog so even fallback contests
-  // refresh the master's load cache for free.
-  if (config_.fanout.cached()) bid.backlog_s = worker->backlog_cost_s();
   auto submit = [this, w, bid] {
     cluster::WorkerNode* again = ctx_.workers[w];
     if (again->failed()) return;

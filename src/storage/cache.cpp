@@ -39,6 +39,7 @@ void ResourceCache::admit(const Resource& resource) {
   }
   order_.push_front(resource);
   entries_.emplace(resource.id, order_.begin());
+  ++version_;
   used_bytes_ += bytes_of(resource.size_mb);
   stats_.admitted_mb += resource.size_mb;
   enforce_capacity();
@@ -56,6 +57,7 @@ void ResourceCache::enforce_capacity() {
     const Resource victim = order_.back();
     order_.pop_back();
     entries_.erase(victim.id);
+    ++version_;
     const std::uint64_t bytes = bytes_of(victim.size_mb);
     used_bytes_ = used_bytes_ >= bytes ? used_bytes_ - bytes : 0;
     ++stats_.evictions;
@@ -69,6 +71,7 @@ bool ResourceCache::evict(ResourceId id) {
   const Resource victim = *it->second;
   order_.erase(it->second);
   entries_.erase(it);
+  ++version_;
   const std::uint64_t bytes = bytes_of(victim.size_mb);
   used_bytes_ = used_bytes_ >= bytes ? used_bytes_ - bytes : 0;
   ++stats_.evictions;
@@ -80,6 +83,7 @@ void ResourceCache::clear() {
   order_.clear();
   entries_.clear();
   used_bytes_ = 0;
+  ++version_;  // restore() clears first, so it bumps too
 }
 
 std::vector<Resource> ResourceCache::snapshot() const {

@@ -88,6 +88,12 @@ class ResourceCache {
   /// Number of resident resources.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Membership version: bumped whenever the set of resident resources may
+  /// have changed (admit of an absent resource, each eviction, clear,
+  /// restore), never by a hit or a recency refresh. A caller that memoises
+  /// answers of contains() keys them on this.
+  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
+
   /// The capacity contract: a bounded cache is over capacity when its
   /// entries exceed the capacity and there is more than one of them. A lone
   /// most-recent entry larger than the capacity stays resident (a clone in
@@ -120,6 +126,7 @@ class ResourceCache {
   CacheConfig config_;
   CacheStats stats_;
   std::uint64_t used_bytes_ = 0;
+  std::uint64_t version_ = 0;
   // Recency list: front = most recently used / most recently admitted.
   std::list<Resource> order_;
   std::unordered_map<ResourceId, std::list<Resource>::iterator> entries_;

@@ -38,9 +38,10 @@ namespace dlaja {
 
 namespace cluster {
 
-/// backlog_cost_s as it stood before the stamped membership set, kept
-/// verbatim as the reference: the assumed-local set is a vector searched
-/// linearly, so a walk costs O(queue x distinct resources).
+/// backlog_cost_s as it stood before the stamped membership set and the
+/// dense fold that replaced it, kept verbatim as the reference: the
+/// assumed-local set is a vector searched linearly, so a walk costs
+/// O(queue x distinct resources).
 struct BacklogOracle {
   static double backlog_cost_s(const WorkerNode& worker) {
     double total = 0.0;
@@ -72,10 +73,11 @@ struct BacklogOracle {
     return total;
   }
 
-  /// Slots allocated by the worker's membership set (0 until its first
-  /// insert).
-  static std::size_t set_capacity(const WorkerNode& worker) {
-    return worker.assumed_local_.capacity();
+  /// True when the worker's next enqueue finds the terms stale (priced under
+  /// another cache membership or speed, or already marked), so it marks them
+  /// stale instead of pricing the new job.
+  static bool terms_stale(const WorkerNode& worker) {
+    return worker.price_key() != worker.priced_;
   }
 };
 
@@ -501,17 +503,28 @@ class OracleWorker {
 
   /// backlog_cost_s() equals the oracle's walk bit for bit.
   [[nodiscard]] ::testing::AssertionResult matches_oracle() const {
-    const double walked = worker_->backlog_cost_s();
-    const double oracle = cluster::BacklogOracle::backlog_cost_s(*worker_);
-    if (std::bit_cast<std::uint64_t>(walked) == std::bit_cast<std::uint64_t>(oracle)) {
-      return ::testing::AssertionSuccess();
-    }
-    return ::testing::AssertionFailure()
-           << std::hexfloat << "backlog " << walked << " != oracle " << oracle << " with "
-           << worker_->queue_length() << " queued at tick " << sim_.now();
+    return same_as_oracle("backlog", worker_->backlog_cost_s());
+  }
+
+  /// Enqueues `job` through enqueue_and_backlog, continuing a fresh walk:
+  /// the backlog it returns equals the oracle's walk afterwards bit for bit.
+  [[nodiscard]] ::testing::AssertionResult enqueue_matches_oracle(const workflow::Job& job) {
+    const double before = worker_->backlog_cost_s();
+    return same_as_oracle("continued backlog", worker_->enqueue_and_backlog(job, before));
   }
 
  private:
+  [[nodiscard]] ::testing::AssertionResult same_as_oracle(const char* what,
+                                                          double backlog) const {
+    const double oracle = cluster::BacklogOracle::backlog_cost_s(*worker_);
+    if (std::bit_cast<std::uint64_t>(backlog) == std::bit_cast<std::uint64_t>(oracle)) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << std::hexfloat << what << " " << backlog << " != oracle " << oracle << " with "
+           << worker_->queue_length() << " queued at tick " << sim_.now();
+  }
+
   SeedSequencer seeds_;
   sim::Simulator sim_;
   net::NetworkModel network_;
@@ -543,11 +556,24 @@ workflow::Job oracle_job(workflow::JobId id, storage::ResourceId resource, Rando
 TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
   // 1-3 slots x unbounded or small LRU cache x nominal or historic speeds,
   // through seeded histories of enqueue bursts (Zipf-repeated, distinct and
-  // resource-free jobs), simulated time, direct cache admissions, speed
-  // probes, crashes and revivals; the walk is checked after every step.
+  // resource-free jobs), simulated time, direct cache admissions and
+  // evictions, speed probes, crashes and revivals. Most enqueues go through
+  // enqueue_and_backlog, whose answer is checked; the rest through plain
+  // enqueue, as the schedulers other than bidding's placements do. Most
+  // steps end with a check of the walk. A quarter run unchecked: their
+  // bursts admit a resource or probe the speeds, enqueue through plain
+  // enqueue with no walk in between, and advance time, so admissions,
+  // speed observations, enqueues and releases of several steps can pile
+  // up and meet stale terms before the next comparison.
   std::uint64_t evictions = 0;
   std::uint64_t revivals = 0;
   std::uint64_t speed_observations = 0;
+  std::uint64_t started_at_once = 0;
+  std::uint64_t continued = 0;
+  std::uint64_t plain_enqueues = 0;
+  std::uint64_t stale_enqueues = 0;
+  std::uint64_t direct_admits = 0;
+  std::uint64_t direct_evictions = 0;
   std::size_t deepest = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -565,6 +591,7 @@ TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
     workflow::JobId next_id = 1;
     storage::ResourceId next_distinct = 1000;
     for (int step = 0; step < 600; ++step) {
+      const bool checked = rng.uniform() >= 0.25;
       const double roll = rng.uniform();
       if (worker.failed()) {
         if (roll < 0.2) {
@@ -574,6 +601,15 @@ TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
           w.advance(rng.exponential(3.0));
         }
       } else if (roll < 0.45 && worker.queue_length() < 400) {
+        if (!checked) {
+          if (rng.bernoulli(0.5)) {
+            const auto resource = static_cast<storage::ResourceId>(rng.uniform_int(1, 24));
+            worker.cache().admit(storage::Resource{resource, oracle_size(resource)});
+            ++direct_admits;
+          } else {
+            worker.probe_speeds();
+          }
+        }
         const auto burst = rng.uniform_int(1, 24);
         for (std::int64_t i = 0; i < burst; ++i) {
           const double kind = rng.uniform();
@@ -584,22 +620,41 @@ TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
           } else if (kind >= 0.75) {
             resource = next_distinct++;
           }
-          worker.enqueue(oracle_job(next_id++, resource, rng));
-          ASSERT_TRUE(w.matches_oracle()) << "step " << step << ", burst job " << i;
+          const workflow::Job job = oracle_job(next_id++, resource, rng);
+          if (!checked || rng.bernoulli(0.25)) {
+            stale_enqueues += cluster::BacklogOracle::terms_stale(worker) ? 1 : 0;
+            worker.enqueue(job);
+            ++plain_enqueues;
+          } else {
+            const std::size_t queued = worker.queue_length();
+            ASSERT_TRUE(w.enqueue_matches_oracle(job)) << "step " << step << ", burst job " << i;
+            ++(worker.queue_length() == queued ? started_at_once : continued);
+          }
+          if (checked) {
+            ASSERT_TRUE(w.matches_oracle()) << "step " << step << ", burst job " << i;
+          }
         }
+        if (!checked) w.advance(rng.exponential(3.0));
       } else if (roll < 0.9) {
         w.advance(rng.exponential(3.0));
-      } else if (roll < 0.95) {
+      } else if (roll < 0.94) {
         const auto resource = static_cast<storage::ResourceId>(rng.uniform_int(1, 24));
         worker.cache().admit(storage::Resource{resource, oracle_size(resource)});
+        ++direct_admits;
+      } else if (roll < 0.95) {
+        const auto resource = static_cast<storage::ResourceId>(rng.uniform_int(1, 24));
+        direct_evictions += worker.cache().evict(resource) ? 1 : 0;
       } else if (roll < 0.98) {
         worker.probe_speeds();
       } else {
         (void)worker.set_failed(true);
       }
       deepest = std::max(deepest, worker.queue_length());
-      ASSERT_TRUE(w.matches_oracle()) << "step " << step;
+      if (checked) {
+        ASSERT_TRUE(w.matches_oracle()) << "step " << step;
+      }
     }
+    ASSERT_TRUE(w.matches_oracle()) << "end of history";
     evictions += worker.cache().stats().evictions;
     speed_observations += worker.rw_estimator().observations();
   }
@@ -607,22 +662,27 @@ TEST(BacklogOracle, MatchesTheLinearScanOnRandomHistories) {
   EXPECT_GT(evictions, 100u);
   EXPECT_GT(revivals, 5u);
   EXPECT_GT(speed_observations, 1000u);
+  EXPECT_GT(started_at_once, 50u);
+  EXPECT_GT(continued, 10000u);
+  EXPECT_GT(plain_enqueues, 5000u);
+  EXPECT_GT(stale_enqueues, 1000u);
+  EXPECT_GT(direct_admits, 100u);
+  EXPECT_GT(direct_evictions, 10u);
   EXPECT_GE(deepest, 100u);
 }
 
 TEST(BacklogOracle, AThousandDistinctResourcesGrowTheSetMidWalk) {
+  // One walk over 1,200 distinct resources, first without and then with a
+  // queued repeat of each.
   OracleWorker w(testutil::uniform_fleet(1)[0], cluster::SpeedEstimator::Mode::kNominal, 5);
   cluster::WorkerNode& worker = w.worker();
   RandomStream rng(5);
-  // Neither an idle walk nor one over a resource-free job allocates the set.
   ASSERT_TRUE(w.matches_oracle());
   worker.enqueue(oracle_job(1, 0, rng));
   ASSERT_TRUE(w.matches_oracle());
-  EXPECT_EQ(cluster::BacklogOracle::set_capacity(worker), 0u);
 
   // 1,200 distinct resources, every third already cached, each followed by
-  // a job on an earlier one: one walk grows the set from 8 slots to 4,096
-  // and must remember, after every growth, each resource it met before.
+  // a job on an earlier one.
   constexpr storage::ResourceId kDistinct = 1200;
   workflow::JobId id = 2;
   for (storage::ResourceId r = 1; r <= kDistinct; ++r) {
@@ -631,15 +691,12 @@ TEST(BacklogOracle, AThousandDistinctResourcesGrowTheSetMidWalk) {
     if (r % 3 == 0) worker.cache().admit(storage::Resource{r, oracle_size(r)});
   }
   ASSERT_TRUE(w.matches_oracle());
-  const std::size_t capacity = cluster::BacklogOracle::set_capacity(worker);
-  EXPECT_EQ(capacity, 4096u);
 
-  // The same resources again, in reverse: no new entries, so no growth.
+  // The same resources again, in reverse: none of them pays a transfer.
   for (storage::ResourceId r = kDistinct; r >= 1; --r) {
     worker.enqueue(oracle_job(id++, r, rng));
   }
   ASSERT_TRUE(w.matches_oracle());
-  EXPECT_EQ(cluster::BacklogOracle::set_capacity(worker), capacity);
 
   // Drain part of the queue, checking the walk at each stop.
   for (int stop = 0; stop < 20; ++stop) {
@@ -647,6 +704,134 @@ TEST(BacklogOracle, AThousandDistinctResourcesGrowTheSetMidWalk) {
     ASSERT_TRUE(w.matches_oracle()) << "stop " << stop;
   }
   EXPECT_LT(worker.queue_length(), 3 * kDistinct);
+}
+
+TEST(BacklogOracle, ASlotThatStillHoldsTheResourceKeepsQueuedJobsFromPayingIt) {
+  // Two slots run jobs on resource 7, which is then evicted. When the short
+  // one finishes, the other slot still holds 7, so the queued job on it
+  // stays free of its transfer; when the long one finishes too, that job
+  // is the first to need 7 and pays for it.
+  cluster::WorkerConfig config = testutil::uniform_fleet(1)[0];
+  config.slots = 2;
+  OracleWorker w(config, cluster::SpeedEstimator::Mode::kNominal, 3);
+  cluster::WorkerNode& worker = w.worker();
+  const auto job = [](workflow::JobId id, storage::ResourceId resource, double fixed_s) {
+    workflow::Job j;
+    j.id = id;
+    j.resource = resource;
+    j.resource_size_mb = oracle_size(resource);
+    j.process_mb = 1.0;
+    j.fixed_cost = ticks_from_seconds(fixed_s);
+    return j;
+  };
+  worker.cache().admit(storage::Resource{7, oracle_size(7)});
+  worker.enqueue(job(1, 7, 1.0));    // slot 0, a hit
+  worker.enqueue(job(2, 7, 100.0));  // slot 1, a hit
+  ASSERT_TRUE(worker.cache().evict(7));
+  worker.enqueue(job(3, 8, 100.0));  // queued; takes slot 0 next
+  worker.enqueue(job(4, 9, 100.0));  // queued; takes slot 1 next
+  worker.enqueue(job(5, 7, 1.0));    // queued behind both
+  ASSERT_TRUE(w.matches_oracle());
+
+  // 7 stays uncached throughout, so a queued job wrongly taken to be its
+  // first would add its transfer and part from the oracle.
+  w.advance(10.0);  // job 1 done, job 3 running, job 2 still holds 7
+  ASSERT_EQ(worker.queue_length(), 2u);
+  ASSERT_EQ(worker.busy_slots(), 2u);
+  ASSERT_TRUE(w.matches_oracle());
+
+  w.advance(90.5);  // job 2 done, job 4 running, job 3 not yet done
+  ASSERT_EQ(worker.queue_length(), 1u);
+  ASSERT_EQ(worker.busy_slots(), 2u);
+  EXPECT_FALSE(worker.cache().contains(7));
+  EXPECT_TRUE(w.matches_oracle());
+}
+
+TEST(BacklogOracle, TermsPricedUnderAPassingSpeedAreRepricedWhenItReturns) {
+  // The rw estimate leaves 100 MB/s, a job is enqueued while the terms are
+  // stale, and the estimate comes back to exactly 100 MB/s: the walk must
+  // not take the terms priced at 100 MB/s as current for that job.
+  OracleWorker w(testutil::uniform_fleet(1)[0], cluster::SpeedEstimator::Mode::kHistoric, 9);
+  cluster::WorkerNode& worker = w.worker();
+  RandomStream rng(9);
+  workflow::Job running = oracle_job(1, 0, rng);
+  running.fixed_cost = ticks_from_seconds(1000.0);
+  worker.enqueue(running);
+  worker.enqueue(oracle_job(2, 3, rng));
+  ASSERT_TRUE(w.matches_oracle());  // priced at the nominal 100 MB/s
+  worker.rw_estimator().observe(50.0);
+  worker.enqueue(oracle_job(3, 4, rng));
+  worker.rw_estimator().observe(150.0);
+  ASSERT_EQ(worker.rw_estimator().estimate(), 100.0);
+  EXPECT_TRUE(w.matches_oracle());
+}
+
+// --- backlog work counters ---------------------------------------------------
+
+TEST(BacklogComplexity, CacheHitPlacementsOnASaturatedWorkerRepriceNothing) {
+  // One slot, nominal speeds, an unbounded cache holding every resource:
+  // 1,000 placements queue behind a busy slot while jobs keep finishing.
+  // Nothing the terms depend on moves, so no walk re-prices, and each
+  // post-enqueue backlog is one O(1) step of the fold.
+  OracleWorker w(testutil::uniform_fleet(1)[0], cluster::SpeedEstimator::Mode::kNominal, 11);
+  cluster::WorkerNode& worker = w.worker();
+  RandomStream rng(11);
+  for (storage::ResourceId r = 1; r <= 24; ++r) {
+    worker.cache().admit(storage::Resource{r, oracle_size(r)});
+  }
+  workflow::JobId id = 1;
+  worker.enqueue(oracle_job(id++, 1, rng));
+  ASSERT_EQ(worker.busy_slots(), 1u);
+  ASSERT_TRUE(w.matches_oracle());
+  const std::uint64_t reprices = worker.backlog_reprices();
+  const std::uint64_t hits = worker.cache().stats().hits;
+  for (int placement = 0; placement < 1000; ++placement) {
+    const auto resource = static_cast<storage::ResourceId>(rng.uniform_int(1, 24));
+    const double before = worker.backlog_cost_s();
+    const std::uint64_t steps = worker.backlog_fold_steps();
+    ASSERT_EQ(worker.busy_slots(), 1u) << "placement " << placement;
+    const double after = worker.enqueue_and_backlog(oracle_job(id++, resource, rng), before);
+    ASSERT_EQ(worker.backlog_fold_steps(), steps) << "placement " << placement;
+    ASSERT_TRUE(w.matches_oracle()) << "placement " << placement;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(after),
+              std::bit_cast<std::uint64_t>(worker.backlog_cost_s()));
+    w.advance(0.5);  // a job takes about 2 s, so the queue keeps growing
+  }
+  EXPECT_GT(worker.cache().stats().hits - hits, 100u);  // jobs did finish
+  EXPECT_EQ(worker.cache().stats().misses, 0u);
+  EXPECT_EQ(worker.backlog_reprices(), reprices);
+}
+
+TEST(BacklogComplexity, AnAdmissionOrASpeedObservationCostsOneReprice) {
+  OracleWorker w(testutil::uniform_fleet(1)[0], cluster::SpeedEstimator::Mode::kHistoric, 13);
+  cluster::WorkerNode& worker = w.worker();
+  RandomStream rng(13);
+  for (workflow::JobId id = 1; id <= 50; ++id) {
+    worker.enqueue(oracle_job(id, 1 + id % 10, rng));
+  }
+  ASSERT_EQ(worker.queue_length(), 49u);
+  ASSERT_TRUE(w.matches_oracle());
+  const auto reprices_after = [&worker](const auto& change) {
+    const std::uint64_t before = worker.backlog_reprices();
+    change();
+    const std::uint64_t steps = worker.backlog_fold_steps();
+    (void)worker.backlog_cost_s();
+    EXPECT_EQ(worker.backlog_fold_steps() - steps, worker.queue_length());
+    (void)worker.backlog_cost_s();
+    return worker.backlog_reprices() - before;
+  };
+  EXPECT_EQ(reprices_after([] {}), 0u);
+  EXPECT_EQ(reprices_after([&worker] {
+              worker.cache().admit(storage::Resource{3, oracle_size(3)});
+            }),
+            1u);
+  EXPECT_EQ(reprices_after([&worker] {
+              worker.cache().admit(storage::Resource{3, oracle_size(3)});  // resident
+            }),
+            0u);
+  EXPECT_EQ(reprices_after([&worker] { worker.network_estimator().observe(20.0); }), 1u);
+  EXPECT_EQ(reprices_after([&worker] { worker.rw_estimator().observe(80.0); }), 1u);
+  EXPECT_TRUE(w.matches_oracle());
 }
 
 // --- live-worker index and k-subset sampler ---------------------------------
