@@ -13,17 +13,17 @@ WorkerNode::WorkerNode(WorkerIndex index, const WorkerConfig& config,
                        sim::Simulator& simulator, net::NetworkModel& network,
                        net::NodeId node, metrics::MetricsCollector& metrics,
                        const SeedSequencer& seeds, SpeedEstimator::Mode estimation_mode)
-    : index_(index),
-      config_(config),
-      sim_(simulator),
-      net_(network),
-      node_(node),
-      metrics_(metrics),
-      cache_(config.cache),
+    : sim_(simulator),
       net_est_(estimation_mode, config.network_mbps),
       rw_est_(estimation_mode, config.rw_mbps),
-      disk_rng_(seeds.seed_for("disk/" + config.name)),
-      bid_rng_(seeds.seed_for("bid/" + config.name)) {
+      bid_rng_(seeds.seed_for("bid/" + config.name)),
+      config_(config),
+      cache_(config.cache),
+      index_(index),
+      node_(node),
+      net_(network),
+      metrics_(metrics),
+      disk_rng_(seeds.seed_for("disk/" + config.name)) {
   slots_.resize(std::max<std::uint32_t>(1, config_.slots));
   metrics_.worker(index_).name = config_.name;
 }
@@ -138,7 +138,7 @@ void WorkerNode::enqueue(const workflow::Job& job) {
                                << job.id << " (worker failed; no fault tolerance)";
     return;
   }
-  queue_.push_back(job);
+  queue_.emplace_back(job);
   const bool first = job.needs_resource() && pending_resources_[job.resource]++ == 0;
   price_one(queue_costs_.emplace_back(
       QueuedCost{job.resource, job.resource_size_mb, job.process_mb, job.fixed_cost, first}));
@@ -187,8 +187,8 @@ std::vector<workflow::Job> WorkerNode::set_failed(bool failed) {
     // back to the caller: the engine's lifecycle resubmits them, the
     // legacy paths ignore the return value and keep the paper's semantics.
     for (workflow::Job& job : queue_) lost.push_back(std::move(job));
-    queue_.clear();
-    queue_costs_.clear();
+    queue_.reset();
+    queue_costs_.reset();
     pending_resources_.clear();
   }
   return lost;
@@ -208,35 +208,28 @@ void WorkerNode::fill_slots() {
   if (failed_) return;
   for (std::size_t index = 0; index < slots_.size() && !queue_.empty(); ++index) {
     if (slots_[index] != nullptr) continue;
-    workflow::Job job = queue_.front();
+    auto slot = std::make_unique<ExecSlot>();
+    slot->job = std::move(queue_.front());
     queue_.pop_front();
     queue_costs_.pop_front();
 
-    auto slot = std::make_unique<ExecSlot>();
-    slot->job = std::move(job);
-    // The estimate of this job's duration, frozen now, gives the remaining-
-    // cost component of later backlog queries. The job runs immediately, so
-    // only the *actual* cache matters (its own pending entry must not mask
-    // its transfer cost).
-    double est_s = estimate_processing_s(slot->job);
-    if (slot->job.needs_resource() && !cache_.contains(slot->job.resource)) {
-      est_s += slot->job.resource_size_mb / std::max(net_est_.estimate(), 1e-9);
+    // The job runs now, so only the *actual* cache matters: the access that
+    // counts its hit or miss also decides whether its frozen estimate pays
+    // the transfer (its own pending entry must not mask that cost).
+    bool miss = false;
+    if (slot->job.needs_resource()) {
+      miss = !cache_.access(slot->job.resource);
+      if (!miss) ++metrics_.worker(index_).cache_hits;
     }
+    // The estimate of this job's duration, frozen now, gives the remaining-
+    // cost component of later backlog queries.
+    double est_s = estimate_processing_s(slot->job);
+    if (miss) est_s += slot->job.resource_size_mb / std::max(net_est_.estimate(), 1e-9);
     slot->est_finish = sim_.now() + ticks_from_seconds(est_s);
 
     metrics::JobRecord& record = metrics_.job(slot->job.id);
     record.worker = index_;
     record.started = sim_.now();
-
-    bool miss = false;
-    if (slot->job.needs_resource()) {
-      const bool hit = cache_.access(slot->job.resource);
-      if (hit) {
-        ++metrics_.worker(index_).cache_hits;
-      } else {
-        miss = true;
-      }
-    }
     slots_[index] = std::move(slot);
     if (miss) {
       begin_transfer(index);
@@ -284,8 +277,9 @@ void WorkerNode::complete_transfer(std::size_t slot_index) {
     sim_.tracer()->span(obs::Component::kNet, trace_transfer_, index_,
                         slot.transfer_started, sim_.now(), slot.job.id);
   }
-  metrics_.registry().histogram("net.transfer_s").record(seconds_from_ticks(taken));
-  metrics_.registry().histogram("net.transfer_mb").record(slot.job.resource_size_mb);
+  metrics::Registry& registry = metrics_.registry();
+  transfer_s_hist_.get(registry, "net.transfer_s").record(seconds_from_ticks(taken));
+  transfer_mb_hist_.get(registry, "net.transfer_mb").record(slot.job.resource_size_mb);
   begin_processing(slot_index, taken, slot.job.resource_size_mb, /*was_miss=*/true);
 }
 
@@ -312,7 +306,7 @@ void WorkerNode::finish_slot(std::size_t slot_index, Tick duration,
                              Tick transfer_ticks_taken, MegaBytes transferred_mb,
                              bool was_miss) {
   assert(slots_[slot_index] != nullptr);
-  const workflow::Job job = slots_[slot_index]->job;
+  const workflow::Job job = std::move(slots_[slot_index]->job);  // the slot is reset below
 
   metrics::JobRecord& record = metrics_.job(job.id);
   record.finished = sim_.now();
@@ -327,7 +321,7 @@ void WorkerNode::finish_slot(std::size_t slot_index, Tick duration,
     sim_.tracer()->span(obs::Component::kWorker, trace_process_, index_,
                         processing_started, sim_.now(), job.id);
   }
-  metrics_.registry().histogram("worker.job_s").record(seconds_from_ticks(duration));
+  job_s_hist_.get(metrics_.registry(), "worker.job_s").record(seconds_from_ticks(duration));
 
   metrics::WorkerRecord& wrec = metrics_.worker(index_);
   ++wrec.jobs_completed;

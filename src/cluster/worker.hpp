@@ -18,12 +18,14 @@
 // and the estimation queries, and observe it through the on_complete /
 // on_idle callbacks.
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -37,6 +39,45 @@
 #include "workflow/workflow.hpp"
 
 namespace dlaja::cluster {
+
+/// A std::deque that holds no heap block until its first push. libstdc++'s
+/// deque allocates its map and one ~512-byte node at construction, even
+/// empty, and most workers of a large fleet never hold a job; a queue that
+/// has held one keeps std::deque's behaviour. Before the first push it is an
+/// empty range (value-initialised deque iterators compare equal).
+template <typename T>
+class LazyDeque {
+ public:
+  using iterator = typename std::deque<T>::iterator;
+  using const_iterator = typename std::deque<T>::const_iterator;
+
+  [[nodiscard]] bool empty() const noexcept { return !items_ || items_->empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return items_ ? items_->size() : 0; }
+  [[nodiscard]] iterator begin() noexcept { return items_ ? items_->begin() : iterator{}; }
+  [[nodiscard]] iterator end() noexcept { return items_ ? items_->end() : iterator{}; }
+  [[nodiscard]] const_iterator begin() const noexcept {
+    return items_ ? items_->cbegin() : const_iterator{};
+  }
+  [[nodiscard]] const_iterator end() const noexcept {
+    return items_ ? items_->cend() : const_iterator{};
+  }
+  /// front(), back() and pop_front() require a non-empty queue.
+  [[nodiscard]] T& front() { return items_->front(); }
+  [[nodiscard]] T& back() { return items_->back(); }
+  void pop_front() { items_->pop_front(); }
+
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    if (!items_) items_.emplace();
+    return items_->emplace_back(std::forward<Args>(args)...);
+  }
+
+  /// Drops every item and the heap blocks that held them.
+  void reset() noexcept { items_.reset(); }
+
+ private:
+  std::optional<std::deque<T>> items_;
+};
 
 class WorkerNode {
  public:
@@ -150,12 +191,6 @@ class WorkerNode {
   [[nodiscard]] std::uint64_t backlog_reprices() const noexcept { return reprices_; }
   [[nodiscard]] std::uint64_t backlog_fold_steps() const noexcept { return fold_steps_; }
 
-  /// Invoked (if set) when a job finishes, before the next one starts.
-  std::function<void(const workflow::Job&, WorkerIndex)> on_complete;
-
-  /// Invoked (if set) when the worker becomes idle (queue drained).
-  std::function<void(WorkerIndex)> on_idle;
-
  private:
   /// The tests' full-replay reference for backlog_cost_s.
   friend struct BacklogOracle;
@@ -186,19 +221,6 @@ class WorkerNode {
   /// the one that pays its transfer.
   void release(storage::ResourceId resource);
 
-  WorkerIndex index_;
-  WorkerConfig config_;
-  sim::Simulator& sim_;
-  net::NetworkModel& net_;
-  net::NodeId node_;
-  metrics::MetricsCollector& metrics_;
-  storage::ResourceCache cache_;
-  SpeedEstimator net_est_;
-  SpeedEstimator rw_est_;
-  RandomStream disk_rng_;  ///< rw-speed noise draws
-  RandomStream bid_rng_;   ///< bid-delay / straggle draws
-
-  std::deque<workflow::Job> queue_;
   /// What backlog_cost_s needs of each queued job, kept in lockstep with
   /// queue_: the Job fields it prices from, and the job's two terms of the
   /// walk, so a walk is a dense left fold over ~56 bytes per job (the walk
@@ -217,7 +239,6 @@ class WorkerNode {
     /// process / rw speed + fixed cost.
     mutable double work_s = 0.0;
   };
-  std::deque<QueuedCost> queue_costs_;
   /// The state the terms depend on besides the queue: the cache's
   /// membership version and both speeds as the walk divides by them.
   struct PriceKey {
@@ -236,21 +257,50 @@ class WorkerNode {
   /// The key every queued job's terms were priced under; kStale forces the
   /// next walk to re-price (the cache's version never reaches it).
   static constexpr std::uint64_t kStale = ~std::uint64_t{0};
-  mutable PriceKey priced_{kStale, 0.0, 0.0};
-  mutable std::uint64_t reprices_ = 0;
-  mutable std::uint64_t fold_steps_ = 0;
-  /// Execution lanes; null = free. Size == config().slots.
-  std::vector<std::unique_ptr<ExecSlot>> slots_;
-  /// Resources of unfinished (in-flight + queued) jobs, with multiplicity.
-  std::unordered_map<storage::ResourceId, std::uint32_t> pending_resources_;
-  net::FlowNetwork* flows_ = nullptr;
-  bool failed_ = false;
 
   /// Interns the worker's span names on first traced use.
   void ensure_trace_names();
+
+  // Members are declared hot first: a bid (the bid-request handler,
+  // backlog_cost_s, estimate_bid_s and sample_bid_delay) reads the block
+  // below, so probing a worker that holds no job touches a few adjacent
+  // cache lines. Execution state, configuration and callbacks follow.
+  sim::Simulator& sim_;
+  bool failed_ = false;
+  bool trace_names_ready_ = false;
   std::uint16_t trace_transfer_ = 0;  ///< "transfer": miss download span
   std::uint16_t trace_process_ = 0;   ///< "process": processing span
-  bool trace_names_ready_ = false;
+  /// Execution lanes; null = free. Size == config().slots.
+  std::vector<std::unique_ptr<ExecSlot>> slots_;
+  SpeedEstimator net_est_;
+  SpeedEstimator rw_est_;
+  RandomStream bid_rng_;  ///< bid-delay / straggle draws
+  mutable PriceKey priced_{kStale, 0.0, 0.0};
+  mutable std::uint64_t reprices_ = 0;
+  mutable std::uint64_t fold_steps_ = 0;
+  LazyDeque<QueuedCost> queue_costs_;
+  /// Resources of unfinished (in-flight + queued) jobs, with multiplicity.
+  std::unordered_map<storage::ResourceId, std::uint32_t> pending_resources_;
+  WorkerConfig config_;
+  storage::ResourceCache cache_;
+
+  LazyDeque<workflow::Job> queue_;
+  WorkerIndex index_;
+  net::NodeId node_;
+  net::NetworkModel& net_;
+  metrics::MetricsCollector& metrics_;
+  RandomStream disk_rng_;  ///< rw-speed noise draws
+  net::FlowNetwork* flows_ = nullptr;
+  metrics::LazyRef<metrics::Histogram> transfer_s_hist_;
+  metrics::LazyRef<metrics::Histogram> transfer_mb_hist_;
+  metrics::LazyRef<metrics::Histogram> job_s_hist_;
+
+ public:
+  /// Invoked (if set) when a job finishes, before the next one starts.
+  std::function<void(const workflow::Job&, WorkerIndex)> on_complete;
+
+  /// Invoked (if set) when the worker becomes idle (queue drained).
+  std::function<void(WorkerIndex)> on_idle;
 };
 
 }  // namespace dlaja::cluster

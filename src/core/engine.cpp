@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -75,7 +76,7 @@ Engine::Engine(const std::vector<cluster::WorkerConfig>& fleet,
         const auto& report = message.payload.as<CompletionReport>();
         const auto it = live_jobs_.find(report.job_id);
         if (it == live_jobs_.end()) return;  // duplicate report
-        const workflow::Job job = it->second;
+        const workflow::Job job = std::move(it->second);
         live_jobs_.erase(it);
         master_handle_completion(report, job);
       });
@@ -458,10 +459,11 @@ metrics::RunReport Engine::run(std::span<const workflow::Job> jobs) {
 
   // Stream the workload in at its arrival times. Jobs are staged in
   // arrivals_ and each event captures just {this, index}: a Job is far too
-  // wide for the simulator's inline action storage, an index is not.
+  // wide for the simulator's inline action storage, an index is not. Each
+  // arrival fires once, so it hands its staged job over.
   arrivals_.assign(jobs.begin(), jobs.end());
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    auto arrive = [this, i] { submit_job(arrivals_[i]); };
+    auto arrive = [this, i] { submit_job(std::move(arrivals_[i])); };
     static_assert(sim::InlineAction::fits_inline<decltype(arrive)>());
     sim_.schedule_at(arrivals_[i].created_at, arrive);
   }

@@ -79,7 +79,8 @@ void JobLifecycle::completed(workflow::JobId id) {
   entries_.erase(it);
   if (entry.lease_armed) sim_.cancel(entry.lease);
   ++stats_.completed;
-  metrics_.registry().histogram("fault.attempts").record(static_cast<double>(entry.attempts));
+  attempts_hist_.get(metrics_.registry(), "fault.attempts")
+      .record(static_cast<double>(entry.attempts));
 }
 
 void JobLifecycle::worker_crashed(WorkerIndex w) {

@@ -154,6 +154,7 @@ class JobLifecycle {
 
   sim::Simulator& sim_;
   metrics::MetricsCollector& metrics_;
+  metrics::LazyRef<metrics::Histogram> attempts_hist_;
   LifecycleConfig config_;
   Callbacks callbacks_;
   std::unordered_map<workflow::JobId, Entry> entries_;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -92,6 +93,35 @@ class Registry {
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// One Counter or Histogram of a registry, found by name on first use and
+/// then held by pointer (the map's nodes never move), so a call site on a
+/// per-job path neither builds a std::string nor searches the map again.
+/// Each call site passes the same name, so a grep for a metric's name finds
+/// where it is fed. Resolving on first use, not at construction, keeps an
+/// instrument that never fires out of the report. An owner that moves to
+/// another registry (a scheduler re-attached) must reset() first.
+template <typename T>
+class LazyRef {
+  static_assert(std::is_same_v<T, Counter> || std::is_same_v<T, Histogram>);
+
+ public:
+  [[nodiscard]] T& get(Registry& registry, const char* name) {
+    if (found_ == nullptr) {
+      if constexpr (std::is_same_v<T, Counter>) {
+        found_ = &registry.counter(name);
+      } else {
+        found_ = &registry.histogram(name);
+      }
+    }
+    return *found_;
+  }
+
+  void reset() noexcept { found_ = nullptr; }
+
+ private:
+  T* found_ = nullptr;
 };
 
 }  // namespace dlaja::metrics

@@ -29,8 +29,13 @@ MailboxId Broker::mailbox(const std::string& name) {
 void Broker::subscribe(TopicId topic_id, net::NodeId node, Handler handler) {
   Topic& t = topics_.at(topic_id);
   const auto slot = static_cast<std::uint32_t>(t.slots.size());
-  t.slots.push_back(Subscriber{node, std::move(handler)});
-  t.by_node[node].push_back(slot);
+  t.slots.push_back(Subscriber{node, kNoEntry, std::move(handler)});
+  // Append to the end of the node's chain: publish_to fans a node's
+  // subscriptions out in subscription order.
+  if (node >= t.first.size()) t.first.resize(node + 1, kNoEntry);
+  std::uint32_t* link = &t.first[node];
+  while (*link != kNoEntry) link = &t.slots[*link].next;
+  *link = slot;
 }
 
 void Broker::subscribe(const std::string& topic_name, net::NodeId node, Handler handler) {
@@ -106,17 +111,16 @@ void Broker::deliver_now(std::uint32_t slot) {
   }
 
   // Mailbox route: resolve at delivery time; missing counts as dropped.
-  const std::uint32_t box = flight.target;
-  if (flight.to >= mailboxes_.size() || box >= mailboxes_[flight.to].size() ||
-      !mailboxes_[flight.to][box]) {
+  const std::uint32_t entry = find_mailbox(flight.to, flight.target);
+  if (entry == kNoEntry || !mailbox_entries_[entry].handler) {
     ++stats_.dropped;
     return;
   }
   ++stats_.delivered;
-  Handler live = std::move(mailboxes_[flight.to][box]);
+  Handler live = std::move(mailbox_entries_[entry].handler);
   live(flight.message);
   // Restore unless the handler registered a replacement for its own mailbox.
-  Handler& after = mailboxes_[flight.to][box];
+  Handler& after = mailbox_entries_[entry].handler;
   if (!after) after = std::move(live);
 }
 
@@ -153,10 +157,8 @@ std::size_t Broker::publish_to(TopicId topic_id, net::NodeId from, Payload paylo
   const std::uint16_t trace_name = intern_trace_name(t.name);
   std::size_t fanout = 0;
   for (const net::NodeId node : targets) {
-    const auto it = t.by_node.find(node);
-    if (it == t.by_node.end()) continue;
-    if (node_down(node)) continue;
-    for (const std::uint32_t slot : it->second) {
+    if (node >= t.first.size() || node_down(node)) continue;
+    for (std::uint32_t slot = t.first[node]; slot != kNoEntry; slot = t.slots[slot].next) {
       deliver_later(from, node, trace_name, Route::kSubscription, topic_id, slot, payload);
       ++fanout;
     }
@@ -164,11 +166,27 @@ std::size_t Broker::publish_to(TopicId topic_id, net::NodeId from, Payload paylo
   return fanout;
 }
 
+std::uint32_t Broker::find_mailbox(net::NodeId node, MailboxId box) const noexcept {
+  if (node >= mailbox_first_.size()) return kNoEntry;
+  std::uint32_t entry = mailbox_first_[node];
+  while (entry != kNoEntry && mailbox_entries_[entry].box != box) {
+    entry = mailbox_entries_[entry].next;
+  }
+  return entry;
+}
+
 void Broker::register_mailbox(net::NodeId node, const std::string& name, Handler handler) {
   const MailboxId box = mailbox(name);
-  if (node >= mailboxes_.size()) mailboxes_.resize(node + 1);
-  if (box >= mailboxes_[node].size()) mailboxes_[node].resize(box + 1);
-  mailboxes_[node][box] = std::move(handler);
+  std::uint32_t entry = find_mailbox(node, box);
+  if (entry == kNoEntry) {
+    // A new entry goes to the head of the node's chain; lookups are by id,
+    // so the chain's order does not matter.
+    if (node >= mailbox_first_.size()) mailbox_first_.resize(node + 1, kNoEntry);
+    entry = static_cast<std::uint32_t>(mailbox_entries_.size());
+    mailbox_entries_.push_back(MailboxEntry{box, mailbox_first_[node], {}});
+    mailbox_first_[node] = entry;
+  }
+  mailbox_entries_[entry].handler = std::move(handler);
 }
 
 void Broker::send(net::NodeId from, net::NodeId to, MailboxId box, Payload payload) {

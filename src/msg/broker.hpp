@@ -12,7 +12,11 @@
 // (O(1) delivery resolution, no string hashing on the hot path) plus a
 // per-node index for multicast, and a message's value is boxed once, in a
 // pooled chunk, and shared by every receiver instead of copied per
-// subscriber. Every message takes one path: one in-flight slot, one kernel
+// subscriber. Both per-node indexes (a topic's subscriptions, the
+// mailboxes) are arrays indexed by the dense NodeId that
+// NetworkModel::register_node hands out: a node's first entry, then a chain
+// of next-entry links, so an idle node costs one array slot and no heap
+// block. Every message takes one path: one in-flight slot, one kernel
 // event, one handler call. Subscriptions last as long as the broker; only a
 // node marked down stops receiving.
 
@@ -244,8 +248,12 @@ class Broker {
   }
 
  private:
+  /// End of a per-node chain (and "no entry" in a first-entry array).
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+
   struct Subscriber {
     net::NodeId node = net::kInvalidNode;
+    std::uint32_t next = kNoEntry;  ///< the node's next subscription slot
     Handler handler;
   };
 
@@ -253,9 +261,22 @@ class Broker {
     std::string name;
     /// Subscribers in subscription order — the order publish fans out in.
     std::vector<Subscriber> slots;
-    /// node -> the slots of its subscriptions (multicast index for publish_to).
-    std::unordered_map<net::NodeId, std::vector<std::uint32_t>> by_node;
+    /// first[node]: the node's first subscription slot, kNoEntry for none.
+    /// With Subscriber::next it lists a node's slots in subscription order
+    /// (the multicast index for publish_to).
+    std::vector<std::uint32_t> first;
   };
+
+  /// One registered (node, mailbox) handler. An empty handler was never
+  /// registered.
+  struct MailboxEntry {
+    MailboxId box = kInvalidInterned;
+    std::uint32_t next = kNoEntry;  ///< the node's next mailbox entry
+    Handler handler;
+  };
+
+  /// The node's entry for `box` in mailbox_entries_, or kNoEntry.
+  [[nodiscard]] std::uint32_t find_mailbox(net::NodeId node, MailboxId box) const noexcept;
 
   enum class Route : std::uint8_t { kSubscription, kMailbox };
 
@@ -292,8 +313,10 @@ class Broker {
 
   std::unordered_map<std::string, MailboxId> mailbox_ids_;
   std::vector<std::string> mailbox_names_;
-  /// mailboxes_[node][mailbox] — empty Handler means "not registered".
-  std::vector<std::vector<Handler>> mailboxes_;
+  /// mailbox_first_[node]: the node's first entry in mailbox_entries_,
+  /// kNoEntry for none; MailboxEntry::next chains the rest.
+  std::vector<std::uint32_t> mailbox_first_;
+  std::vector<MailboxEntry> mailbox_entries_;
 
   std::vector<std::uint8_t> down_;  // indexed by node
 

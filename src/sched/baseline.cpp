@@ -13,6 +13,8 @@ using cluster::WorkerIndex;
 using cluster::WorkRequest;
 
 void BaselineScheduler::attach_extra() {
+  offers_.reset();
+  offer_roundtrip_s_.reset();
   declines_.assign(ctx_.worker_count(), {});
   request_pending_.assign(ctx_.worker_count(), false);
 
@@ -97,7 +99,7 @@ void BaselineScheduler::handle_work_request(WorkerIndex w) {
   offer.round = ctx_.metrics->job(job.id).offers_rejected;
   in_flight_.emplace(offer_id, PendingOffer{std::move(job), ctx_.sim->now()});
   ++stats_.offers_made;
-  ctx_.metrics->registry().counter("sched.offers").add(1);
+  offers_.get(ctx_.metrics->registry(), "sched.offers").add(1);
   ctx_.broker->send(ctx_.master_node, ctx_.worker_nodes[w], cluster::mailboxes::kOffers,
                     offer);
   if (ctx_.fault_aware) {
@@ -190,8 +192,7 @@ void BaselineScheduler::master_handle_response(const OfferResponse& response) {
                              response.accepted ? trace_accept_ : trace_reject_,
                              response.worker, offered_at, ctx_.sim->now(), job.id);
   }
-  ctx_.metrics->registry()
-      .histogram("sched.offer_roundtrip_s")
+  offer_roundtrip_s_.get(ctx_.metrics->registry(), "sched.offer_roundtrip_s")
       .record(seconds_from_ticks(ctx_.sim->now() - offered_at));
 
   if (response.accepted) return;  // assignment was stamped at the worker

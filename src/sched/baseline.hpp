@@ -101,6 +101,10 @@ class BaselineScheduler final : public PullSchedulerBase {
 
   BaselineConfig config_;
   Stats stats_;
+  /// Registry instruments fed per offer, found on first use (reset by
+  /// attach_extra()).
+  metrics::LazyRef<metrics::Counter> offers_;
+  metrics::LazyRef<metrics::Histogram> offer_roundtrip_s_;
   /// Worker-side memory of declined jobs: declines_[w][job] = count.
   std::vector<std::unordered_map<workflow::JobId, std::uint32_t>> declines_;
   /// Worker-side: a request is scheduled/in flight/parked for this worker.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/log.hpp"
@@ -39,6 +40,7 @@ double cached_work_s(const LoadCache& cache, const cluster::WorkerNode& worker,
 
 void BiddingScheduler::attach(const SchedulerContext& ctx) {
   ctx_ = ctx;
+  instruments_ = Instruments{};  // resolved again against this context's registry
   correction_.assign(ctx_.worker_count(), 1.0);
 
   // Resolve the protocol's topic and mailbox names once: every publish/send
@@ -162,13 +164,12 @@ void BiddingScheduler::contest_or_backlog(const workflow::Job& job) {
   open_contest(job);
 }
 
-double BiddingScheduler::cached_cost_s(WorkerIndex w, const workflow::Job& job) const {
+double BiddingScheduler::cached_cost_s(WorkerIndex w, double work_s) const {
   // Listing 2 over the cache: the worker's believed backlog drains
   // slots-wide, then the job's own transfer + processing on nominal speeds.
-  const cluster::WorkerNode& worker = *ctx_.workers[w];
   const double lanes =
-      static_cast<double>(std::max<std::uint32_t>(1, worker.config().slots));
-  return cache_.backlog_s(w) / lanes + cached_work_s(cache_, worker, job);
+      static_cast<double>(std::max<std::uint32_t>(1, ctx_.workers[w]->config().slots));
+  return cache_.backlog_s(w) / lanes + work_s;
 }
 
 void BiddingScheduler::place_cached(const workflow::Job& job) {
@@ -215,29 +216,37 @@ void BiddingScheduler::place_cached(const workflow::Job& job) {
 
   // Score the sampled candidates with the cached bid formula. The
   // retry-excluded worker wins only when it is the sole live candidate
-  // (soft exclusion).
+  // (soft exclusion). Each candidate's work term is kept beside its cost:
+  // the winner's is what the optimistic charge below adds to its believed
+  // backlog.
   const auto excluded = static_cast<WorkerIndex>(job.excluded_worker);
   WorkerIndex best = cluster::kNoWorker;
   double best_cost = std::numeric_limits<double>::infinity();
+  double best_work = 0.0;
   WorkerIndex best_excluded = cluster::kNoWorker;
   double best_excluded_cost = std::numeric_limits<double>::infinity();
+  double best_excluded_work = 0.0;
   for (const WorkerIndex w : probe_scratch_) {
-    const double cost = cached_cost_s(w, job);
+    const double work = cached_work_s(cache_, *ctx_.workers[w], job);
+    const double cost = cached_cost_s(w, work);
     if (w == excluded) {
       if (cost < best_excluded_cost) {
         best_excluded = w;
         best_excluded_cost = cost;
+        best_excluded_work = work;
       }
       continue;
     }
     if (cost < best_cost) {
       best = w;
       best_cost = cost;
+      best_work = work;
     }
   }
   if (best == cluster::kNoWorker) {
     best = best_excluded;
     best_cost = best_excluded_cost;
+    best_work = best_excluded_work;
   }
 
   // The worker judges staleness against the backlog the decision believed,
@@ -253,11 +262,11 @@ void BiddingScheduler::place_cached(const workflow::Job& job) {
 
   placements_.emplace(job.id, Placement{job, best, cache_.generation(best)});
   placed_estimates_.emplace(job.id, PlacedEstimate{best_cost, ctx_.sim->now()});
-  cache_.charge(best, cached_work_s(cache_, *ctx_.workers[best], job), job.resource);
+  cache_.charge(best, best_work, job.resource);
 
   ++stats_.placements;
   ++stats_.control_messages;  // the placement itself
-  ctx_.metrics->registry().counter("fanout.placements").add(1);
+  instruments_.placements.get(ctx_.metrics->registry(), "fanout.placements").add(1);
 
   ctx_.broker->send(ctx_.master_node, ctx_.worker_nodes[best], placements_box_,
                     DirectPlacement{job, expected_backlog_s});
@@ -320,7 +329,7 @@ void BiddingScheduler::master_receive_placement_ack(const PlacementResponse& res
   metrics::Registry& registry = ctx_.metrics->registry();
   if (resp.accepted) {
     ++stats_.cache_hits;
-    registry.counter("fanout.cache_hits").add(1);
+    instruments_.cache_hits.get(registry, "fanout.cache_hits").add(1);
     if (DLAJA_TRACE_ACTIVE(ctx_.sim->tracer())) {
       ensure_trace_names();
       ctx_.sim->tracer()->instant(obs::Component::kSched, trace_cache_hit_, resp.worker,
@@ -328,7 +337,7 @@ void BiddingScheduler::master_receive_placement_ack(const PlacementResponse& res
     }
   } else {
     ++stats_.stale_declines;
-    registry.counter("fanout.stale_declines").add(1);
+    instruments_.stale_declines.get(registry, "fanout.stale_declines").add(1);
     // The declined worker never ran the job, so its cached estimate is
     // meaningless for placement quality.
     placed_estimates_.erase(resp.job_id);
@@ -529,10 +538,11 @@ void BiddingScheduler::close_contest(std::uint64_t contest_id) {
                              record.contest_opened, ctx_.sim->now(), contest.job.id);
   }
   metrics::Registry& registry = ctx_.metrics->registry();
-  registry.counter("sched.contests").add(1);
-  registry.histogram("sched.contest_s")
+  instruments_.contests.get(registry, "sched.contests").add(1);
+  instruments_.contest_s.get(registry, "sched.contest_s")
       .record(seconds_from_ticks(ctx_.sim->now() - record.contest_opened));
-  registry.histogram("sched.contest_bids").record(static_cast<double>(contest.bids.size()));
+  instruments_.contest_bids.get(registry, "sched.contest_bids")
+      .record(static_cast<double>(contest.bids.size()));
 
   if (config_.learn_correction && winning_cost > 0.0) {
     winning_estimate_s_[contest.job.id] = winning_cost;
@@ -548,9 +558,11 @@ void BiddingScheduler::close_contest(std::uint64_t contest_id) {
     ++stats_.control_messages;  // the assignment message
   }
 
+  // The contest dies here: its job moves into the assignment.
+  const workflow::JobId job_id = contest.job.id;
   ctx_.broker->send(ctx_.master_node, ctx_.worker_nodes[winner], jobs_box_,
-                    JobAssignment{contest.job});
-  if (ctx_.notify_assigned) ctx_.notify_assigned(contest.job.id, winner, winning_cost);
+                    JobAssignment{std::move(contest.job)});
+  if (ctx_.notify_assigned) ctx_.notify_assigned(job_id, winner, winning_cost);
 
   // Serial mode: the next queued job gets its contest now. By this point the
   // winner's queue (as seen through its future bids) includes this job's
@@ -611,8 +623,7 @@ void BiddingScheduler::on_completion(const cluster::CompletionReport& report) {
       if (estimate_s > 0.0 && actual_s > 0.0) {
         // Placement quality: how the cached estimate compared to reality
         // (1.0 = perfect; reports carry it as fanout.placement_quality.*).
-        ctx_.metrics->registry()
-            .histogram("fanout.placement_quality")
+        instruments_.placement_quality.get(ctx_.metrics->registry(), "fanout.placement_quality")
             .record(actual_s / estimate_s);
       }
     }

@@ -154,11 +154,12 @@ class BiddingScheduler final : public Scheduler {
   /// estimates, late binding).
   void place_cached(const workflow::Job& job);
 
-  /// Cached mode: the master's cost estimate for running `job` on `w` —
+  /// Cached mode: the master's cost estimate for running a job on `w` —
   /// the same formula the worker computes locally (Listing 2), evaluated
-  /// over the cached backlog, believed-resident resources and the worker's
-  /// nominal speeds (master-visible config, not probed state).
-  [[nodiscard]] double cached_cost_s(cluster::WorkerIndex w, const workflow::Job& job) const;
+  /// over the cached backlog plus `work_s`, the job's transfer + processing
+  /// on believed-resident resources and the worker's nominal speeds
+  /// (master-visible config, not probed state).
+  [[nodiscard]] double cached_cost_s(cluster::WorkerIndex w, double work_s) const;
 
   /// Worker-side: accept or decline a direct placement at worker `w`.
   void worker_handle_placement(cluster::WorkerIndex w, const cluster::DirectPlacement& p);
@@ -195,8 +196,21 @@ class BiddingScheduler final : public Scheduler {
   /// Interns the scheduler's span names on first traced use.
   void ensure_trace_names();
 
+  /// The registry instruments this scheduler feeds per job, found on first
+  /// use; attach() starts a fresh set for the new context's registry.
+  struct Instruments {
+    metrics::LazyRef<metrics::Counter> placements;
+    metrics::LazyRef<metrics::Counter> cache_hits;
+    metrics::LazyRef<metrics::Counter> stale_declines;
+    metrics::LazyRef<metrics::Histogram> placement_quality;
+    metrics::LazyRef<metrics::Counter> contests;
+    metrics::LazyRef<metrics::Histogram> contest_s;
+    metrics::LazyRef<metrics::Histogram> contest_bids;
+  };
+
   BiddingConfig config_;
   SchedulerContext ctx_;
+  Instruments instruments_;
   msg::TopicId bid_topic_ = msg::kInvalidInterned;   ///< resolved at attach
   msg::MailboxId jobs_box_ = msg::kInvalidInterned;  ///< worker job queues
   msg::MailboxId bids_box_ = msg::kInvalidInterned;  ///< master bid intake

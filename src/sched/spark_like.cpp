@@ -12,6 +12,9 @@ using cluster::WorkerIndex;
 
 void SparkLikeScheduler::attach(const SchedulerContext& ctx) {
   ctx_ = ctx;
+  waves_.reset();
+  wave_size_.reset();
+  wave_s_.reset();
   for (WorkerIndex w = 0; w < ctx_.worker_count(); ++w) {
     cluster::WorkerNode* worker = ctx_.workers[w];
     if (worker == nullptr) continue;  // outside this context's partition
@@ -96,8 +99,9 @@ void SparkLikeScheduler::dispatch_wave() {
   outstanding_ = launched;
   wave_started_ = ctx_.sim->now();
   ++wave_index_;
-  ctx_.metrics->registry().counter("sched.waves").add(1);
-  ctx_.metrics->registry().histogram("sched.wave_size").record(static_cast<double>(wave));
+  metrics::Registry& registry = ctx_.metrics->registry();
+  waves_.get(registry, "sched.waves").add(1);
+  wave_size_.get(registry, "sched.wave_size").record(static_cast<double>(wave));
   // Every task of this wave went to the lifecycle (all workers dead): keep
   // draining the backlog rather than waiting for a completion that will
   // never come. Each round pops at least one job, so this terminates.
@@ -146,8 +150,7 @@ void SparkLikeScheduler::wave_slot_freed() {
       ctx_.sim->tracer()->span(obs::Component::kSched, trace_wave_, 0, wave_started_,
                                ctx_.sim->now(), wave_index_);
     }
-    ctx_.metrics->registry()
-        .histogram("sched.wave_s")
+    wave_s_.get(ctx_.metrics->registry(), "sched.wave_s")
         .record(seconds_from_ticks(ctx_.sim->now() - wave_started_));
     if (!pending_.empty()) schedule_dispatch();
   }

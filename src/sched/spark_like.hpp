@@ -74,6 +74,10 @@ class SparkLikeScheduler final : public Scheduler {
 
   SparkLikeConfig config_;
   SchedulerContext ctx_;
+  /// Registry instruments fed per wave, found on first use (reset by attach()).
+  metrics::LazyRef<metrics::Counter> waves_;
+  metrics::LazyRef<metrics::Histogram> wave_size_;
+  metrics::LazyRef<metrics::Histogram> wave_s_;
   LiveWorkers live_;  ///< wave mode: one task per live worker
   std::uint64_t cursor_ = 0;
   std::deque<workflow::Job> pending_;  ///< wave mode: tasks awaiting a wave slot

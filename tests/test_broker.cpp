@@ -80,6 +80,31 @@ TEST_F(BrokerTest, PublishWithNoSubscribersIsZeroFanout) {
   EXPECT_EQ(broker_.stats().delivered, 0u);
 }
 
+TEST_F(BrokerTest, PublishToFansEachTargetOutInSubscriptionOrder) {
+  // Zero jitter: every copy lands on the same tick, so delivery order is
+  // the order publish_to put them in flight.
+  std::vector<int> order;
+  broker_.subscribe("t", a_, [&](const Message&) { order.push_back(1); });
+  broker_.subscribe("t", b_, [&](const Message&) { order.push_back(2); });
+  broker_.subscribe("t", a_, [&](const Message&) { order.push_back(3); });
+  const TopicId topic = broker_.topic("t");
+  const std::vector<net::NodeId> a_then_b{a_, b_};
+  EXPECT_EQ(broker_.publish_to(topic, c_, 0, a_then_b), 3u);
+  sim_.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+
+  // A target with no subscription fans out nothing: a and b are inside
+  // topic u's index (c subscribed past them) but hold no subscription.
+  broker_.subscribe("u", c_, [&](const Message&) { order.push_back(4); });
+  EXPECT_EQ(broker_.publish_to(broker_.topic("u"), a_, 0, a_then_b), 0u);
+  // So does a NodeId past the index: c is past topic t's, 1000 past every one.
+  const std::vector<net::NodeId> past{c_, 1000};
+  EXPECT_EQ(broker_.publish_to(topic, a_, 0, past), 0u);
+  sim_.run();
+  EXPECT_EQ(order.size(), 3u);
+  EXPECT_EQ(broker_.stats().delivered, 3u);
+}
+
 TEST_F(BrokerTest, NodeDownDropsInFlightAndFutureMessages) {
   int count = 0;
   broker_.register_mailbox(b_, "box", [&](const Message&) { ++count; });

@@ -2,8 +2,8 @@
 // touch the general heap for inline-budget captures once the simulator's
 // slabs are warm, oversized captures must recycle pooled chunks, and the
 // generation-tagged ids must make stale handles inert across slot reuse.
-// Allocations are counted by the global operator new that counting_new.hpp
-// replaces.
+// A worker that holds no job holds no queue block. Allocations are counted
+// by the global operator new that counting_new.hpp replaces.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/worker.hpp"
 #include "counting_new.hpp"
+#include "metrics/collector.hpp"
+#include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -437,6 +440,107 @@ TEST(KernelComplexity, RelinksPerFireStayFlatUnderAStandingBacklog) {
   EXPECT_LE(small, static_cast<double>(sim::Simulator::kLevels));
   EXPECT_LE(large, static_cast<double>(sim::Simulator::kLevels));
   EXPECT_LE(large, small * 1.01);
+}
+
+// --- A worker that holds no job -------------------------------------------
+
+class IdleWorkerAlloc : public ::testing::Test {
+ protected:
+  IdleWorkerAlloc() : network_(seeds_), metrics_(1) {
+    node_ = network_.register_node("w0", net::LinkConfig{});
+    config_.name = "w0";  // short enough for the string's inline buffer
+    // Records for every job the tests run, so the metrics' maps and
+    // vectors are sized before anything is counted.
+    for (workflow::JobId id = 1; id <= 6; ++id) (void)metrics_.job(id);
+    simulator_.reserve(64);
+  }
+
+  static workflow::Job job(workflow::JobId id) {
+    workflow::Job job;
+    job.id = id;
+    job.process_mb = 8.0;
+    return job;
+  }
+
+  [[nodiscard]] static std::size_t allocations() { return counting_new::allocations.load(); }
+
+  SeedSequencer seeds_{7};
+  sim::Simulator simulator_;
+  net::NetworkModel network_;
+  metrics::MetricsCollector metrics_;
+  net::NodeId node_ = net::kInvalidNode;
+  cluster::WorkerConfig config_;
+};
+
+TEST_F(IdleWorkerAlloc, AConstructedWorkerAllocatesOnlyItsSlotArray) {
+  const std::size_t before = allocations();
+  cluster::WorkerNode worker(0, config_, simulator_, network_, node_, metrics_, seeds_);
+  EXPECT_EQ(allocations() - before, 1u);
+
+  // A bid on it (backlog, estimate, delay) allocates nothing either.
+  const std::size_t before_bid = allocations();
+  EXPECT_EQ(worker.backlog_cost_s(), 0.0);
+  EXPECT_GT(worker.estimate_bid_s(job(1)), 0.0);
+  (void)worker.sample_bid_delay();
+  EXPECT_EQ(allocations(), before_bid);
+  EXPECT_TRUE(worker.idle());
+}
+
+TEST_F(IdleWorkerAlloc, TheFirstEnqueueAllocatesTheQueues) {
+  cluster::WorkerNode worker(0, config_, simulator_, network_, node_, metrics_, seeds_);
+
+  // Job 1 passes through both queues into the free slot.
+  const std::size_t before_first = allocations();
+  worker.enqueue(job(1));
+  const std::size_t first = allocations() - before_first;
+  simulator_.run();
+  EXPECT_TRUE(worker.idle());
+
+  // Job 2 meets queues that already exist; only its execution slot is new.
+  const std::size_t before_again = allocations();
+  worker.enqueue(job(2));
+  const std::size_t again = allocations() - before_again;
+  EXPECT_EQ(again, 1u);
+  // Both queues were created on the first enqueue: a map and a node each.
+  EXPECT_EQ(first - again, 4u);
+
+  // A job queued behind the busy slot allocates nothing.
+  const std::size_t before_queued = allocations();
+  worker.enqueue(job(3));
+  EXPECT_EQ(allocations(), before_queued);
+  EXPECT_EQ(worker.queue_length(), 1u);
+  simulator_.run();
+  EXPECT_EQ(metrics_.worker(0).jobs_completed, 3u);
+}
+
+TEST_F(IdleWorkerAlloc, ACrashedAndRevivedWorkerQueuesAndRunsJobs) {
+  cluster::WorkerNode worker(0, config_, simulator_, network_, node_, metrics_, seeds_);
+  std::vector<workflow::JobId> completed;
+  worker.on_complete = [&completed](const workflow::Job& done, cluster::WorkerIndex) {
+    completed.push_back(done.id);
+  };
+  worker.enqueue(job(1));
+  worker.enqueue(job(2));
+  ASSERT_EQ(worker.queue_length(), 1u);
+
+  const std::vector<workflow::Job> lost = worker.set_failed(true);
+  ASSERT_EQ(lost.size(), 2u);
+  EXPECT_EQ(lost[0].id, 1u);
+  EXPECT_EQ(lost[1].id, 2u);
+  EXPECT_EQ(worker.queue_length(), 0u);
+  EXPECT_EQ(worker.backlog_cost_s(), 0.0);
+  EXPECT_FALSE(worker.has_job(2));
+
+  EXPECT_TRUE(worker.set_failed(false).empty());
+  worker.enqueue(job(4));
+  worker.enqueue(job(5));
+  worker.enqueue(job(6));
+  EXPECT_EQ(worker.queue_length(), 2u);
+  EXPECT_TRUE(worker.has_job(6));
+  EXPECT_GT(worker.backlog_cost_s(), 0.0);
+  simulator_.run();
+  EXPECT_EQ(completed, (std::vector<workflow::JobId>{4, 5, 6}));
+  EXPECT_TRUE(worker.idle());
 }
 
 }  // namespace
